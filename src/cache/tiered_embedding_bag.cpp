@@ -1,6 +1,5 @@
 #include "cache/tiered_embedding_bag.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -67,43 +66,19 @@ TieredEmbeddingBag::BackwardAndUpdate(const ops::TableInput& input,
         offset += input.lengths[b];
     }
 
-    // Sort + canonicalize duplicates exactly like SparseOptimizer does,
-    // then apply one read-modify-write per unique row through the store.
-    std::vector<uint32_t> order(refs.size());
-    for (uint32_t i = 0; i < refs.size(); i++) {
-        order[i] = i;
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](uint32_t a, uint32_t b) {
-                         return refs[a].row < refs[b].row;
-                     });
-
-    size_t i = 0;
-    while (i < order.size()) {
-        const int64_t row = refs[order[i]].row;
-        size_t j = i;
-        while (j < order.size() && refs[order[j]].row == row) {
-            j++;
-        }
-        if (j - i > 1) {
-            std::sort(order.begin() + i, order.begin() + j,
-                      [&](uint32_t a, uint32_t b) {
-                          return std::lexicographical_compare(
-                              refs[a].grad, refs[a].grad + dim,
-                              refs[b].grad, refs[b].grad + dim);
-                      });
-        }
-        // Merge and update through the same kernel table as
-        // SparseOptimizer::ApplyExact so tiered and in-memory training
-        // stay bitwise interchangeable across every dispatch tier.
-        const kernels::KernelTable& kt = kernels::Active();
-        std::fill(merged_.begin(), merged_.end(), 0.0f);
-        for (size_t k = i; k < j; k++) {
-            kt.add_f32(refs[order[k]].grad, merged_.data(), dim);
-        }
-
+    // Group and merge exactly like SparseOptimizer::ApplyExact (the same
+    // grouping and canonical merge, with the same kernel table), so tiered
+    // and in-memory training stay bitwise interchangeable across every
+    // dispatch tier; then apply one read-modify-write per unique row
+    // through the store, in ascending row order.
+    grouping_.Build(refs, store_->rows());
+    const std::span<const int64_t> rows = grouping_.rows();
+    const kernels::KernelTable& kt = kernels::Active();
+    const float lr = config_.learning_rate;
+    for (size_t g = 0; g < rows.size(); g++) {
+        const int64_t row = rows[g];
+        grouping_.MergeGroup(g, dim, merged_.data());
         store_->ReadRow(row, row_buf_.data());
-        const float lr = config_.learning_rate;
         if (config_.kind == ops::SparseOptimizerKind::kSgd) {
             kt.axpy_f32(-lr, merged_.data(), row_buf_.data(), dim);
         } else {
@@ -114,7 +89,6 @@ TieredEmbeddingBag::BackwardAndUpdate(const ops::TableInput& input,
             kt.axpy_f32(-scale, merged_.data(), row_buf_.data(), dim);
         }
         store_->WriteRow(row, row_buf_.data());
-        i = j;
     }
 }
 

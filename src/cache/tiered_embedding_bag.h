@@ -2,7 +2,7 @@
  * @file
  * Pooled embedding training over a RowStore — the hierarchical-memory
  * training path (Sec. 4.1.3): the same fused forward and exact
- * (sort-merge) backward+update as EmbeddingBagCollection, but every row
+ * (group-merge) backward+update as EmbeddingBagCollection, but every row
  * access goes through an abstract store, so a table can live behind the
  * 32-way software cache (HBM over DDR) or UVM paging and still train.
  * With a lossless store the results are bitwise identical to the plain
@@ -95,9 +95,11 @@ class TieredEmbeddingBag
     void Forward(const ops::TableInput& input, size_t batch, Matrix& out);
 
     /**
-     * Exact backward + update: duplicate rows are sorted and merged, then
-     * each unique row is read, stepped, and written back through the
-     * store — one read-modify-write per unique row regardless of pooling.
+     * Exact backward + update: duplicate rows are grouped and merged by
+     * ops::RowGrouping (the exact update's grouping), then each unique row
+     * is read, stepped, and written back through the store in ascending
+     * row order — one read-modify-write per unique row regardless of
+     * pooling.
      */
     void BackwardAndUpdate(const ops::TableInput& input, size_t batch,
                            const Matrix& grad);
@@ -111,6 +113,7 @@ class TieredEmbeddingBag
     std::vector<float> rowwise_state_;
     std::vector<float> row_buf_;
     std::vector<float> merged_;
+    ops::RowGrouping grouping_;
 };
 
 }  // namespace neo::cache

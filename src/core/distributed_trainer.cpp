@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/straggler.h"
 #include "obs/trace.h"
+#include "ops/embedding_bag.h"
 
 namespace neo::core {
 
@@ -172,28 +173,30 @@ DistributedDlrm::ForwardEmbeddings(const PreparedInput& prepared,
 {
     const size_t b_global = prepared.local_batch * world_;
     shard_pooled.resize(shards_.size());
+    std::vector<ops::PoolJob> jobs;
+    jobs.reserve(shards_.size());
     for (size_t i = 0; i < shards_.size(); i++) {
-        const auto& shard = shards_[i];
-        const size_t d = static_cast<size_t>(shard.meta.NumCols());
-        Matrix& pooled = shard_pooled[i];
-        if (pooled.rows() != b_global || pooled.cols() != d) {
-            pooled = Matrix(b_global, d);
-        } else {
-            pooled.Zero();
-        }
         const auto& input = prepared.shard_inputs[i];
         NEO_CHECK(input.batch == b_global, "shard input batch mismatch");
-        const auto lens = input.LengthsForTable(0);
-        const auto idx = input.IndicesForTable(0);
-        size_t offset = 0;
-        for (size_t b = 0; b < b_global; b++) {
-            float* out = pooled.Row(b);
-            for (uint32_t k = 0; k < lens[b]; k++) {
-                shard.table.AccumulateRow(idx[offset + k], 1.0f, out);
-            }
-            offset += lens[b];
-        }
+        jobs.push_back(
+            {&shards_[i].table, input.InputForTable(0), &shard_pooled[i]});
     }
+    ops::PoolBags(jobs);
+}
+
+void
+DistributedDlrm::PoolDpTables(const PreparedInput& prepared,
+                              std::vector<Matrix>& pooled)
+{
+    std::vector<ops::PoolJob> jobs;
+    jobs.reserve(dp_tables_.size());
+    for (const auto& dp : dp_tables_) {
+        jobs.push_back({&dp.replica,
+                        prepared.local_sparse.InputForTable(
+                            static_cast<size_t>(dp.table)),
+                        &pooled[static_cast<size_t>(dp.table)]});
+    }
+    ops::PoolBags(jobs);
 }
 
 void
@@ -218,22 +221,7 @@ DistributedDlrm::TrainStepPrepared(PreparedInput& prepared)
         NEO_TRACE_SPAN("emb_forward", "emb_fwd");
         ForwardEmbeddings(prepared, shard_pooled);
         ExchangePooled(shard_pooled, b_local, pooled);
-
-        // ---- replicated DP tables pool the local batch directly ----
-        for (const auto& dp : dp_tables_) {
-            Matrix& out = pooled[dp.table];
-            const auto input = prepared.local_sparse.InputForTable(
-                static_cast<size_t>(dp.table));
-            size_t offset = 0;
-            for (size_t b = 0; b < b_local; b++) {
-                float* row = out.Row(b);
-                for (uint32_t k = 0; k < input.lengths[b]; k++) {
-                    dp.replica.AccumulateRow(input.indices[offset + k],
-                                             1.0f, row);
-                }
-                offset += input.lengths[b];
-            }
-        }
+        PoolDpTables(prepared, pooled);
     }
 
     // ---- dense forward ----
@@ -469,11 +457,15 @@ DistributedDlrm::ExchangeGradsAndUpdate(const PreparedInput& prepared,
             }
             offset += lens[b];
         }
+        // Group once: the undo log snapshots exactly the rows the exact
+        // update is about to step.
+        const std::span<const int64_t> rows =
+            shard.optimizer.GroupByRow(refs);
         if (txn_ != nullptr) {
-            txn_->CaptureShardRows(i, refs);
+            txn_->CaptureShardRows(i, rows);
         }
         if (options_.exact_sparse_update) {
-            shard.optimizer.ApplyExact(shard.table, refs);
+            shard.optimizer.ApplyGrouped(shard.table);
         } else {
             shard.optimizer.ApplyNaive(shard.table, refs);
         }
@@ -539,11 +531,12 @@ DistributedDlrm::UpdateDpTables(const PreparedInput& prepared,
             grad_cursor[src] += b_local * d;
             idx_cursor[src] = offset;
         }
+        const std::span<const int64_t> rows = dp.optimizer.GroupByRow(refs);
         if (txn_ != nullptr) {
-            txn_->CaptureDpRows(dpi, refs);
+            txn_->CaptureDpRows(dpi, rows);
         }
         if (options_.exact_sparse_update) {
-            dp.optimizer.ApplyExact(dp.replica, refs);
+            dp.optimizer.ApplyGrouped(dp.replica);
         } else {
             dp.optimizer.ApplyNaive(dp.replica, refs);
         }
@@ -627,20 +620,7 @@ DistributedDlrm::Predict(const data::Batch& local_batch, Matrix& logits)
     ForwardEmbeddings(prepared, shard_pooled);
     std::vector<Matrix> pooled;
     ExchangePooled(shard_pooled, b_local, pooled);
-    for (const auto& dp : dp_tables_) {
-        Matrix& out = pooled[dp.table];
-        const auto input = prepared.local_sparse.InputForTable(
-            static_cast<size_t>(dp.table));
-        size_t offset = 0;
-        for (size_t b = 0; b < b_local; b++) {
-            float* row = out.Row(b);
-            for (uint32_t k = 0; k < input.lengths[b]; k++) {
-                dp.replica.AccumulateRow(input.indices[offset + k], 1.0f,
-                                         row);
-            }
-            offset += input.lengths[b];
-        }
-    }
+    PoolDpTables(prepared, pooled);
 
     Matrix bottom_out;
     bottom_->Forward(prepared.dense, bottom_out);

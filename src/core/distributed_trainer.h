@@ -275,6 +275,10 @@ class DistributedDlrm
     // -- step phases --
     void ForwardEmbeddings(const PreparedInput& prepared,
                            std::vector<Matrix>& pooled_local);
+    /** Pool the local batch through the replicated DP tables into their
+     *  slots of `pooled` (the exchanged per-table outputs). */
+    void PoolDpTables(const PreparedInput& prepared,
+                      std::vector<Matrix>& pooled);
     void ExchangePooled(const std::vector<Matrix>& shard_pooled,
                         size_t local_batch, std::vector<Matrix>& pooled_out);
     void ExchangeGradsAndUpdate(const PreparedInput& prepared,

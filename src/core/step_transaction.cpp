@@ -1,8 +1,5 @@
 #include "core/step_transaction.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "common/logging.h"
 #include "core/distributed_trainer.h"
 #include "obs/metrics.h"
@@ -28,19 +25,10 @@ StepTransaction::~StepTransaction()
 void
 StepTransaction::CaptureRows(const ops::EmbeddingTable& table,
                              const ops::SparseOptimizer& optimizer,
-                             std::span<const ops::SparseGradRef> grads,
+                             std::span<const int64_t> rows,
                              RowsSnapshot& snapshot)
 {
-    snapshot.rows.clear();
-    snapshot.rows.reserve(grads.size());
-    for (const auto& ref : grads) {
-        snapshot.rows.push_back(ref.row);
-    }
-    std::sort(snapshot.rows.begin(), snapshot.rows.end());
-    snapshot.rows.erase(
-        std::unique(snapshot.rows.begin(), snapshot.rows.end()),
-        snapshot.rows.end());
-
+    snapshot.rows.assign(rows.begin(), rows.end());
     const size_t d = static_cast<size_t>(table.dim());
     const size_t sfpr = optimizer.StateFloatsPerRow();
     snapshot.values.resize(snapshot.rows.size() * d);
@@ -57,7 +45,7 @@ StepTransaction::CaptureRows(const ops::EmbeddingTable& table,
 
 void
 StepTransaction::CaptureShardRows(size_t shard_index,
-                                  std::span<const ops::SparseGradRef> grads)
+                                  std::span<const int64_t> rows)
 {
     NEO_REQUIRE(shard_index < shard_snapshots_.size(),
                 "shard index out of range");
@@ -65,18 +53,18 @@ StepTransaction::CaptureShardRows(size_t shard_index,
     NEO_REQUIRE(!snapshot.captured,
                 "shard captured twice in one transaction");
     const auto& shard = trainer_.shards_[shard_index];
-    CaptureRows(shard.table, shard.optimizer, grads, snapshot);
+    CaptureRows(shard.table, shard.optimizer, rows, snapshot);
 }
 
 void
 StepTransaction::CaptureDpRows(size_t dp_index,
-                               std::span<const ops::SparseGradRef> grads)
+                               std::span<const int64_t> rows)
 {
     NEO_REQUIRE(dp_index < dp_snapshots_.size(), "DP index out of range");
     RowsSnapshot& snapshot = dp_snapshots_[dp_index];
     NEO_REQUIRE(!snapshot.captured, "DP table captured twice");
     const auto& dp = trainer_.dp_tables_[dp_index];
-    CaptureRows(dp.replica, dp.optimizer, grads, snapshot);
+    CaptureRows(dp.replica, dp.optimizer, rows, snapshot);
 }
 
 void
@@ -140,6 +128,21 @@ StepTransaction::Commit()
         snapshot = RowsSnapshot{};
     }
     dense_ = DenseSnapshot{};
+}
+
+std::span<const int64_t>
+StepTransaction::shard_rows(size_t shard_index) const
+{
+    NEO_REQUIRE(shard_index < shard_snapshots_.size(),
+                "shard index out of range");
+    return shard_snapshots_[shard_index].rows;
+}
+
+std::span<const int64_t>
+StepTransaction::dp_rows(size_t dp_index) const
+{
+    NEO_REQUIRE(dp_index < dp_snapshots_.size(), "DP index out of range");
+    return dp_snapshots_[dp_index].rows;
 }
 
 uint64_t

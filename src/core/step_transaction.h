@@ -61,6 +61,13 @@ class StepTransaction
     /** True once CaptureDense() ran for this attempt. */
     bool dense_captured() const { return dense_.captured; }
 
+    /** Rows captured for local shard i: unique, ascending (empty until
+     *  its capture). */
+    std::span<const int64_t> shard_rows(size_t shard_index) const;
+
+    /** Rows captured for DP table i: unique, ascending. */
+    std::span<const int64_t> dp_rows(size_t dp_index) const;
+
   private:
     friend class DistributedDlrm;
 
@@ -81,13 +88,15 @@ class StepTransaction
         std::vector<uint8_t> blob;
     };
 
-    /** Capture shard i's touched rows (called before its sparse apply). */
-    void CaptureShardRows(size_t shard_index,
-                          std::span<const ops::SparseGradRef> grads);
+    /**
+     * Capture shard i's touched rows (called before its sparse apply).
+     * `rows` are the update's unique rows in ascending order, as
+     * SparseOptimizer::GroupByRow returns them.
+     */
+    void CaptureShardRows(size_t shard_index, std::span<const int64_t> rows);
 
-    /** Capture DP table i's touched rows. */
-    void CaptureDpRows(size_t dp_index,
-                       std::span<const ops::SparseGradRef> grads);
+    /** Capture DP table i's touched rows (unique, ascending). */
+    void CaptureDpRows(size_t dp_index, std::span<const int64_t> rows);
 
     /** Capture the dense MLPs + optimizer (called before dense apply). */
     void CaptureDense();
@@ -95,7 +104,7 @@ class StepTransaction
     /** Shared row-capture logic for shards and DP tables. */
     static void CaptureRows(const ops::EmbeddingTable& table,
                             const ops::SparseOptimizer& optimizer,
-                            std::span<const ops::SparseGradRef> grads,
+                            std::span<const int64_t> rows,
                             RowsSnapshot& snapshot);
 
     DistributedDlrm& trainer_;

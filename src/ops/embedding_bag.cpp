@@ -18,15 +18,72 @@ namespace {
  */
 constexpr size_t kForwardBatchGrain = 64;
 
-/** One (table, sample-range) unit of forward work. */
+/** One (job, sample-range) unit of forward work. */
 struct ForwardShard {
-    size_t table;
+    size_t job;
     size_t batch_begin;
     size_t batch_end;
     size_t index_offset;  // offset of batch_begin's first index
 };
 
 }  // namespace
+
+void
+PoolBags(std::span<const PoolJob> jobs)
+{
+    // Serial pass: validate inputs, size outputs, and carve the fused
+    // (table x batch) iteration space into shards. Offsets into the
+    // combined indices are prefix sums of lengths, so they are computed
+    // here once and each shard starts from a known position.
+    std::vector<ForwardShard> shards;
+    for (size_t j = 0; j < jobs.size(); j++) {
+        const PoolJob& job = jobs[j];
+        const size_t batch = job.input.lengths.size();
+        const size_t dim = static_cast<size_t>(job.table->dim());
+        Matrix& out = *job.out;
+        if (out.rows() != batch || out.cols() != dim) {
+            out = Matrix(batch, dim);
+        } else {
+            out.Zero();
+        }
+        size_t offset = 0;
+        for (size_t b = 0; b < batch; b++) {
+            if (b % kForwardBatchGrain == 0) {
+                shards.push_back(
+                    {j, b, std::min(b + kForwardBatchGrain, batch), offset});
+            }
+            const uint32_t len = job.input.lengths[b];
+            NEO_CHECK(offset + len <= job.input.indices.size(),
+                      "indices shorter than lengths imply");
+            offset += len;
+        }
+        NEO_CHECK(offset == job.input.indices.size(),
+                  "indices longer than lengths imply");
+    }
+    // Fused parallel loop over all tables (the CPU analogue of the single
+    // batched CUDA kernel in Fig. 7). Shards write disjoint output rows and
+    // only read table parameters, so any thread count produces the serial
+    // result bit-for-bit. Each bag pools through the active SIMD kernel
+    // tier's fused gather+accumulate.
+    static obs::Counter& pool_calls =
+        obs::MetricsRegistry::Get().GetCounter("neo.kernels.pool_calls");
+    ParallelFor(0, shards.size(), 1, [&](size_t s0, size_t s1) {
+        uint64_t bags = 0;
+        for (size_t s = s0; s < s1; s++) {
+            const ForwardShard& shard = shards[s];
+            const PoolJob& job = jobs[shard.job];
+            size_t offset = shard.index_offset;
+            for (size_t b = shard.batch_begin; b < shard.batch_end; b++) {
+                const uint32_t len = job.input.lengths[b];
+                job.table->PoolRows(job.input.indices.data() + offset, len,
+                                    job.out->Row(b));
+                offset += len;
+            }
+            bags += shard.batch_end - shard.batch_begin;
+        }
+        pool_calls.Add(bags);
+    });
+}
 
 uint64_t
 EmbeddingBagCollection::TableSeed(uint64_t base_seed, size_t table)
@@ -58,60 +115,14 @@ EmbeddingBagCollection::Forward(std::span<const TableInput> inputs,
     NEO_REQUIRE(inputs.size() == tables_.size(),
                 "one input per table required");
     outputs.resize(tables_.size());
-    // Serial pass: validate inputs, size outputs, and carve the fused
-    // (table x batch) iteration space into shards. Offsets into the
-    // combined indices are prefix sums of lengths, so they are computed
-    // here once and each shard starts from a known position.
-    std::vector<ForwardShard> shards;
+    std::vector<PoolJob> jobs;
+    jobs.reserve(tables_.size());
     for (size_t t = 0; t < tables_.size(); t++) {
-        const EmbeddingTable& table = tables_[t];
-        const TableInput& in = inputs[t];
-        NEO_REQUIRE(in.lengths.size() == batch, "lengths size mismatch");
-        Matrix& out = outputs[t];
-        if (out.rows() != batch ||
-            out.cols() != static_cast<size_t>(table.dim())) {
-            out = Matrix(batch, static_cast<size_t>(table.dim()));
-        } else {
-            out.Zero();
-        }
-        size_t offset = 0;
-        for (size_t b = 0; b < batch; b++) {
-            if (b % kForwardBatchGrain == 0) {
-                shards.push_back(
-                    {t, b, std::min(b + kForwardBatchGrain, batch), offset});
-            }
-            const uint32_t len = in.lengths[b];
-            NEO_CHECK(offset + len <= in.indices.size(),
-                      "indices shorter than lengths imply");
-            offset += len;
-        }
-        NEO_CHECK(offset == in.indices.size(),
-                  "indices longer than lengths imply");
+        NEO_REQUIRE(inputs[t].lengths.size() == batch,
+                    "lengths size mismatch");
+        jobs.push_back({&tables_[t], inputs[t], &outputs[t]});
     }
-    // Fused parallel loop over all local tables (the CPU analogue of the
-    // single batched CUDA kernel in Fig. 7). Shards write disjoint output
-    // rows and only read table parameters, so any thread count produces
-    // the serial result bit-for-bit. Each bag pools through the active
-    // SIMD kernel tier's fused gather+accumulate.
-    static obs::Counter& pool_calls =
-        obs::MetricsRegistry::Get().GetCounter("neo.kernels.pool_calls");
-    ParallelFor(0, shards.size(), 1, [&](size_t s0, size_t s1) {
-        uint64_t bags = 0;
-        for (size_t s = s0; s < s1; s++) {
-            const ForwardShard& shard = shards[s];
-            const EmbeddingTable& table = tables_[shard.table];
-            const TableInput& in = inputs[shard.table];
-            Matrix& out = outputs[shard.table];
-            size_t offset = shard.index_offset;
-            for (size_t b = shard.batch_begin; b < shard.batch_end; b++) {
-                const uint32_t len = in.lengths[b];
-                table.PoolRows(in.indices.data() + offset, len, out.Row(b));
-                offset += len;
-            }
-            bags += shard.batch_end - shard.batch_begin;
-        }
-        pool_calls.Add(bags);
-    });
+    PoolBags(jobs);
 }
 
 void

@@ -30,6 +30,26 @@ struct TableInput {
     std::span<const int64_t> indices;
 };
 
+/** One table's share of a fused pooled lookup (PoolBags). */
+struct PoolJob {
+    const EmbeddingTable* table;
+    /** lengths.size() is the job's batch. */
+    TableInput input;
+    /** Resized to batch x table dim and overwritten. */
+    Matrix* out;
+};
+
+/**
+ * The fused pooled lookup (sum pooling) over several tables: out row b of
+ * each job is the sum of its sample b's rows, in occurrence order. Work is
+ * split into fixed (job, 64-sample) chunks that write disjoint output rows
+ * and run in parallel over the shared pool; every bag goes through
+ * EmbeddingTable::PoolRows. The result is therefore bitwise the serial
+ * chain of AccumulateRow(weight = 1) calls, at any thread count and on any
+ * kernel tier.
+ */
+void PoolBags(std::span<const PoolJob> jobs);
+
 /** Shape/precision spec for one table in a collection. */
 struct TableSpec {
     int64_t rows = 0;

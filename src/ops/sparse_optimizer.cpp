@@ -1,7 +1,10 @@
 #include "ops/sparse_optimizer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/parallel_for.h"
@@ -19,7 +22,92 @@ namespace {
  */
 constexpr size_t kExactGroupGrain = 64;
 
+/**
+ * Widest radix digit. 1024 counters (4 KiB) stay in L1 while a pass
+ * scatters; tables of up to 2^10 rows group in one pass, up to 2^20 in
+ * two.
+ */
+constexpr int kMaxRadixBits = 10;
+
 }  // namespace
+
+void
+RowGrouping::Build(std::span<const SparseGradRef> grads, int64_t rows)
+{
+    grads_ = {};
+    rows_.clear();
+    group_starts_.assign(1, 0);
+    NEO_REQUIRE(grads.size() < std::numeric_limits<uint32_t>::max(),
+                "too many gradient occurrences: ", grads.size());
+    for (const auto& ref : grads) {
+        NEO_REQUIRE(ref.row >= 0 && ref.row < rows,
+                    "gradient row out of range: ", ref.row);
+    }
+    grads_ = grads;
+    const uint32_t n = static_cast<uint32_t>(grads.size());
+
+    // Split the key bits into equal digits of at most kMaxRadixBits. Each
+    // pass is a stable counting sort on one digit, least significant
+    // first, so after the last pass positions are ordered by the whole key
+    // and, within a key, by input position.
+    const int key_bits = std::bit_width(static_cast<uint64_t>(rows - 1));
+    const int passes = (key_bits + kMaxRadixBits - 1) / kMaxRadixBits;
+    const int digit_bits = passes > 0 ? (key_bits + passes - 1) / passes : 0;
+    const uint64_t mask = (uint64_t{1} << digit_bits) - 1;
+    order_.resize(n);
+    std::iota(order_.begin(), order_.end(), 0u);
+    scratch_.resize(n);
+    for (int shift = 0; shift < passes * digit_bits; shift += digit_bits) {
+        auto digit = [&](uint32_t pos) {
+            return (static_cast<uint64_t>(grads[pos].row) >> shift) & mask;
+        };
+        // counts_[d] becomes the first output slot of digit d.
+        counts_.assign(mask + 2, 0);
+        for (const uint32_t pos : order_) {
+            counts_[digit(pos) + 1]++;
+        }
+        std::partial_sum(counts_.begin(), counts_.end(), counts_.begin());
+        for (const uint32_t pos : order_) {
+            scratch_[counts_[digit(pos)]++] = pos;
+        }
+        order_.swap(scratch_);
+    }
+
+    // One scan of the sorted occurrences finds the group boundaries.
+    group_starts_.clear();
+    for (uint32_t i = 0; i < n; i++) {
+        const int64_t row = grads[order_[i]].row;
+        if (rows_.empty() || row != rows_.back()) {
+            rows_.push_back(row);
+            group_starts_.push_back(i);
+        }
+    }
+    group_starts_.push_back(n);
+}
+
+void
+RowGrouping::MergeGroup(size_t g, size_t dim, float* merged)
+{
+    uint32_t* first = order_.data() + group_starts_[g];
+    uint32_t* last = order_.data() + group_starts_[g + 1];
+    const SparseGradRef* grads = grads_.data();
+    if (last - first > 1) {
+        // Floating-point sums depend on order, so canonicalize the
+        // duplicate occurrences (lexicographic by gradient values) before
+        // merging; the merged sum is then invariant to any permutation of
+        // the input batch.
+        std::sort(first, last, [&](uint32_t a, uint32_t b) {
+            return std::lexicographical_compare(
+                grads[a].grad, grads[a].grad + dim, grads[b].grad,
+                grads[b].grad + dim);
+        });
+    }
+    const kernels::KernelTable& kt = kernels::Active();
+    std::fill_n(merged, dim, 0.0f);
+    for (const uint32_t* k = first; k != last; k++) {
+        kt.add_f32(grads[*k].grad, merged, dim);
+    }
+}
 
 const char*
 SparseOptimizerKindName(SparseOptimizerKind kind)
@@ -197,78 +285,44 @@ void
 SparseOptimizer::ApplyExact(EmbeddingTable& table,
                             std::span<const SparseGradRef> grads)
 {
+    GroupByRow(grads);
+    ApplyGrouped(table);
+}
+
+std::span<const int64_t>
+SparseOptimizer::GroupByRow(std::span<const SparseGradRef> grads)
+{
     // Sparse updates live in the paper's embedding-backward phase, so
     // they book as emb_bwd rather than the dense optimizer bucket.
+    NEO_TRACE_SPAN("sparse_group_rows", "emb_bwd");
+    grouping_.Build(grads, rows_);
+    return grouping_.rows();
+}
+
+void
+SparseOptimizer::ApplyGrouped(EmbeddingTable& table)
+{
     NEO_TRACE_SPAN("sparse_apply_exact", "emb_bwd");
     NEO_REQUIRE(table.rows() == rows_ && table.dim() == dim_,
                 "optimizer/table shape mismatch");
-    if (grads.empty()) {
-        return;
-    }
-
-    // Stable sort of occurrence positions by row id. Stability plus the
-    // commutative merge (sum in sorted-position order) makes the final
-    // result invariant to the original occurrence order.
-    order_.resize(grads.size());
-    for (uint32_t i = 0; i < grads.size(); i++) {
-        order_[i] = i;
-    }
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](uint32_t a, uint32_t b) {
-                         return grads[a].row < grads[b].row;
-                     });
-
-    // Scan the sorted occurrences once (serially) to find the unique-row
-    // group boundaries and validate row ids.
-    group_starts_.clear();
-    size_t i = 0;
-    while (i < order_.size()) {
-        const int64_t row = grads[order_[i]].row;
-        NEO_CHECK(row >= 0 && row < rows_, "gradient row out of range");
-        group_starts_.push_back(i);
-        size_t j = i;
-        while (j < order_.size() && grads[order_[j]].row == row) {
-            j++;
-        }
-        i = j;
-    }
-    group_starts_.push_back(order_.size());
-
     // Apply groups in parallel: each group owns one table row and its
     // optimizer state, groups are disjoint, and the per-group merge order
-    // is fixed by the global sort — bit-identical at any thread count.
+    // is canonical — bit-identical at any thread count.
     const size_t d = static_cast<size_t>(dim_);
-    const size_t num_groups = group_starts_.size() - 1;
+    const std::span<const int64_t> rows = grouping_.rows();
     static obs::Counter& update_calls =
         obs::MetricsRegistry::Get().GetCounter(
             "neo.kernels.sparse_update_calls");
-    update_calls.Add(num_groups);
-    const kernels::KernelTable& kt = kernels::Active();
-    ParallelFor(0, num_groups, kExactGroupGrain, [&](size_t g0, size_t g1) {
-        std::vector<float> merged(d);
-        std::vector<float> row_buf(d);
+    update_calls.Add(rows.size());
+    ParallelFor(0, rows.size(), kExactGroupGrain, [&](size_t g0, size_t g1) {
+        // Per-thread scratch: the merged gradient, then the widened row.
+        static thread_local AlignedVector<float> scratch;
+        scratch.resize(2 * d);
+        float* merged = scratch.data();
+        float* row_buf = scratch.data() + d;
         for (size_t g = g0; g < g1; g++) {
-            const size_t s = group_starts_[g];
-            const size_t e = group_starts_[g + 1];
-            const int64_t row = grads[order_[s]].row;
-            if (e - s > 1) {
-                // Floating-point sums depend on order, so canonicalize the
-                // duplicate occurrences (lexicographic by gradient values)
-                // before merging; the merged sum is then invariant to any
-                // permutation of the input batch. The sort touches only
-                // this group's order_ subrange, disjoint across groups.
-                std::sort(order_.begin() + s, order_.begin() + e,
-                          [&](uint32_t a, uint32_t b) {
-                              return std::lexicographical_compare(
-                                  grads[a].grad, grads[a].grad + d,
-                                  grads[b].grad, grads[b].grad + d);
-                          });
-            }
-            std::fill(merged.begin(), merged.end(), 0.0f);
-            for (size_t k = s; k < e; k++) {
-                kt.add_f32(grads[order_[k]].grad, merged.data(), d);
-            }
-            UpdateRow(table, row, merged.data(), row_buf.data());
+            grouping_.MergeGroup(g, d, merged);
+            UpdateRow(table, rows[g], merged, row_buf);
         }
     });
 }

@@ -3,12 +3,21 @@
  * Exact sparse optimizers for embedding tables (Sec. 4.1.2).
  *
  * Large-batch synchronous training updates many embedding rows per step,
- * with duplicates inside a batch. The "exact" strategy sorts the sparse
+ * with duplicates inside a batch. The "exact" strategy groups the sparse
  * update by row id, merges gradients of duplicate rows, and applies a
  * single optimizer step per unique row — making the update independent of
  * input order and free of read-modify-write races, which in turn gives
  * bitwise run-to-run reproducibility even for nonlinear optimizers
  * (AdaGrad, Adam).
+ *
+ * Determinism contract. A row's update depends only on the multiset of
+ * gradients that name it and on its merge order, and the merge order is
+ * canonical: lexicographic by gradient value, summed left to right from
+ * zero (RowGrouping::MergeGroup). Nothing else enters the arithmetic, so
+ * the exact update is bitwise identical across thread counts, SIMD kernel
+ * tiers, ranks and permutations of the batch, whatever method finds each
+ * row's occurrences. Grouping is therefore free to change (it is a stable
+ * LSD radix sort today) without moving a bit.
  *
  * A "naive" per-occurrence application path is kept as an ablation: for
  * nonlinear optimizers it is order-dependent, demonstrating why exactness
@@ -54,6 +63,53 @@ struct SparseGradRef {
     const float* grad;
 };
 
+/**
+ * The occurrences of one sparse update grouped by row id: the single
+ * grouping that the exact update, its step's undo log and the tiered
+ * (cached) update share.
+ *
+ * Build() runs a stable LSD radix sort of occurrence positions keyed by
+ * row id. The digit width comes from the table's row count: ceil(log2
+ * rows) key bits split evenly into passes of at most 10 bits, so each pass
+ * is one counting sort and grouping is linear in the occurrence count.
+ * The result is exactly the permutation a stable comparison sort by row
+ * would give: groups in ascending row order, each group's occurrences in
+ * input order.
+ */
+class RowGrouping
+{
+  public:
+    /**
+     * Group `grads` for a table of `rows` rows. Validates every row id
+     * first and throws std::runtime_error if one lies outside [0, rows),
+     * leaving the grouping empty. `grads` must outlive the grouping's use
+     * (MergeGroup reads the gradients it points to).
+     */
+    void Build(std::span<const SparseGradRef> grads, int64_t rows);
+
+    /** Unique rows, ascending: group g updates rows()[g]. */
+    std::span<const int64_t> rows() const { return rows_; }
+
+    /**
+     * Canonical merge of group `g` into merged[0..dim): sort the group's
+     * occurrences lexicographically by gradient value, then sum them in
+     * that order starting from zero. Groups own disjoint occurrence
+     * ranges, so distinct groups may be merged concurrently.
+     */
+    void MergeGroup(size_t g, size_t dim, float* merged);
+
+  private:
+    std::span<const SparseGradRef> grads_;
+    /** Occurrence positions, grouped by row (ascending). */
+    std::vector<uint32_t> order_;
+    /** Group g's occurrences are order_[group_starts_[g], [g + 1]). */
+    std::vector<uint32_t> group_starts_;
+    std::vector<int64_t> rows_;
+    /** Radix scratch: the other scatter buffer and the digit counts. */
+    std::vector<uint32_t> scratch_;
+    std::vector<uint32_t> counts_;
+};
+
 /** Optimizer state and update logic for a single embedding table. */
 class SparseOptimizer
 {
@@ -67,15 +123,31 @@ class SparseOptimizer
                     int64_t dim);
 
     /**
-     * Exact fused update: sort + merge duplicate rows, then apply one
-     * optimizer step per unique row. Deterministic and order-invariant.
-     * Unique-row groups are applied in parallel over the shared pool —
-     * groups touch disjoint table rows and disjoint optimizer state, and
-     * each group's merge order is fixed by the global sort, so the result
-     * is bit-identical to the serial path at any thread count.
+     * Exact fused update: GroupByRow(grads) then ApplyGrouped(table) —
+     * merge duplicate rows, then apply one optimizer step per unique row.
+     * Deterministic and order-invariant (see the contract above).
      */
     void ApplyExact(EmbeddingTable& table,
                     std::span<const SparseGradRef> grads);
+
+    /**
+     * Group step of ApplyExact: group `grads` by row (RowGrouping::Build)
+     * and return the ascending unique rows the apply step will touch, so a
+     * caller can snapshot exactly those rows first. Throws, before any
+     * state changes, on a row outside the table. The span stays valid
+     * until the next GroupByRow or ApplyExact; `grads` must stay alive
+     * until ApplyGrouped returns.
+     */
+    std::span<const int64_t> GroupByRow(std::span<const SparseGradRef> grads);
+
+    /**
+     * Apply step of ApplyExact: one merged optimizer step per group of the
+     * last GroupByRow. Groups apply in parallel over the shared pool —
+     * they touch disjoint table rows and disjoint optimizer state, and
+     * each group's merge order is canonical, so the result is
+     * bit-identical to the serial path at any thread count.
+     */
+    void ApplyGrouped(EmbeddingTable& table);
 
     /**
      * Naive update: apply one optimizer step per occurrence in the given
@@ -128,9 +200,9 @@ class SparseOptimizer
     std::vector<float> adam_v_;
     std::vector<uint32_t> adam_step_;
 
-    /** Scratch reused across calls to avoid per-step allocation churn. */
-    std::vector<uint32_t> order_;
-    std::vector<size_t> group_starts_;
+    /** The last GroupByRow's grouping (reused across steps). */
+    RowGrouping grouping_;
+    /** ApplyNaive's widened-row scratch. */
     std::vector<float> row_buf_;
 };
 

@@ -6,14 +6,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
+#include "comm/threaded_process_group.h"
 #include "common/rng.h"
 #include "core/checkpoint.h"
 #include "core/distributed_trainer.h"
 #include "core/dlrm_config.h"
 #include "core/dlrm_reference.h"
+#include "core/step_transaction.h"
 #include "data/dataset.h"
 #include "ops/embedding_table.h"
 
@@ -247,6 +250,94 @@ TEST(RetryBackoff, CapBelowBaseStillHonoursBase)
     options.max_retry_backoff = milliseconds(10);
     EXPECT_EQ(RetryBackoffDelay(options, 1), milliseconds(50));
     EXPECT_EQ(RetryBackoffDelay(options, 8), milliseconds(50));
+}
+
+// ------------------------------------------------ step transaction capture
+
+/** Sorted unique copy of `indices`. */
+std::vector<int64_t>
+UniqueAscending(std::span<const int64_t> indices)
+{
+    std::vector<int64_t> rows(indices.begin(), indices.end());
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    return rows;
+}
+
+TEST(StepTransaction, CapturesEachTablesUniqueRowsAscending)
+{
+    // A row-wise, a table-wise and a data-parallel table over two ranks.
+    // Small tables make the batch repeat rows heavily.
+    const DlrmConfig model = MakeSmallDlrmConfig(3, 40, 8);
+    const int workers = 2;
+    const size_t local_batch = 16;
+    sharding::ShardingPlan plan;
+    plan.worker_cost.assign(workers, 0.0);
+    plan.worker_memory.assign(workers, 0.0);
+    auto add_shard = [&](int table, sharding::Scheme scheme,
+                         int64_t row_begin, int64_t row_end, int worker) {
+        sharding::Shard shard;
+        shard.table = table;
+        shard.scheme = scheme;
+        shard.row_begin = row_begin;
+        shard.row_end = row_end;
+        shard.col_end = model.tables[table].dim;
+        shard.worker = worker;
+        plan.shards.push_back(shard);
+    };
+    const int64_t rows0 = model.tables[0].rows;
+    add_shard(0, sharding::Scheme::kRowWise, 0, rows0 / 2, 0);
+    add_shard(0, sharding::Scheme::kRowWise, rows0 / 2, rows0, 1);
+    add_shard(1, sharding::Scheme::kTableWise, 0, model.tables[1].rows, 1);
+    add_shard(2, sharding::Scheme::kDataParallel, 0, model.tables[2].rows,
+              0);
+
+    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    const data::Batch global = dataset.NextBatch(local_batch * workers);
+    comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
+        const size_t begin = static_cast<size_t>(rank) * local_batch;
+        data::Batch local;
+        local.dense = Matrix(local_batch, global.dense.cols());
+        for (size_t b = 0; b < local_batch; b++) {
+            for (size_t c = 0; c < global.dense.cols(); c++) {
+                local.dense(b, c) = global.dense(begin + b, c);
+            }
+        }
+        local.sparse = global.sparse.SliceBatch(begin, begin + local_batch);
+        local.labels.assign(global.labels.begin() + begin,
+                            global.labels.begin() + begin + local_batch);
+
+        DistributedDlrm trainer(model, plan, pg);
+        DistributedDlrm::PreparedInput prepared =
+            trainer.PrepareInput(local);
+        StepTransaction txn(trainer);
+        trainer.TrainStepPrepared(prepared);
+
+        uint64_t expected_total = 0;
+        ASSERT_EQ(trainer.NumLocalShards(), rank == 0 ? 1u : 2u);
+        for (size_t i = 0; i < trainer.NumLocalShards(); i++) {
+            const std::vector<int64_t> want = UniqueAscending(
+                prepared.shard_inputs[i].IndicesForTable(0));
+            const std::span<const int64_t> got = txn.shard_rows(i);
+            EXPECT_EQ(std::vector<int64_t>(got.begin(), got.end()), want)
+                << "rank " << rank << " shard " << i;
+            EXPECT_LT(want.size(), prepared.shard_inputs[i].TotalIndices());
+            expected_total += want.size();
+        }
+        // Every replica applies the global batch's update, so each rank
+        // captures the global batch's rows of the DP table.
+        ASSERT_EQ(trainer.NumDpTables(), 1u);
+        const std::vector<int64_t> want_dp = UniqueAscending(
+            global.sparse.IndicesForTable(
+                static_cast<size_t>(trainer.dp_table(0).table)));
+        const std::span<const int64_t> got_dp = txn.dp_rows(0);
+        EXPECT_EQ(std::vector<int64_t>(got_dp.begin(), got_dp.end()),
+                  want_dp)
+            << "rank " << rank;
+        expected_total += want_dp.size();
+        EXPECT_EQ(txn.captured_rows(), expected_total);
+        txn.Commit();
+    });
 }
 
 // ------------------------------------- checkpoint robustness & storage

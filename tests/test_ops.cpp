@@ -9,8 +9,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <stdexcept>
 
 #include "common/rng.h"
+#include "kernels/kernels.h"
 #include "ops/dense_optimizer.h"
 #include "ops/embedding_bag.h"
 #include "ops/embedding_table.h"
@@ -293,6 +297,207 @@ TEST(SparseOptimizer, AdamMovesTowardGradientDirection)
     EXPECT_GT(out[1], 0.0f);
     // First Adam step with bias correction ≈ -lr * sign(g).
     EXPECT_NEAR(out[0], -0.1f, 1e-3f);
+}
+
+/**
+ * Reference for the exact update in its comparison-sort form: a stable
+ * sort of occurrence positions by row, a lexicographic sort of each row's
+ * occurrences, a left-to-right sum from zero with the active kernel tier,
+ * then one optimizer step per unique row in ascending row order
+ * (ApplyNaive steps each ref exactly as given).
+ */
+void
+ReferenceApplyExact(SparseOptimizer& opt, EmbeddingTable& table,
+                    const std::vector<SparseGradRef>& grads)
+{
+    const size_t d = static_cast<size_t>(table.dim());
+    std::vector<uint32_t> order(grads.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](uint32_t a, uint32_t b) {
+                         return grads[a].row < grads[b].row;
+                     });
+    const kernels::KernelTable& kt = kernels::Active();
+    std::vector<std::vector<float>> merged;
+    std::vector<int64_t> rows;
+    size_t i = 0;
+    while (i < order.size()) {
+        const int64_t row = grads[order[i]].row;
+        size_t j = i;
+        while (j < order.size() && grads[order[j]].row == row) {
+            j++;
+        }
+        std::sort(order.begin() + i, order.begin() + j,
+                  [&](uint32_t a, uint32_t b) {
+                      return std::lexicographical_compare(
+                          grads[a].grad, grads[a].grad + d, grads[b].grad,
+                          grads[b].grad + d);
+                  });
+        merged.emplace_back(d, 0.0f);
+        for (size_t k = i; k < j; k++) {
+            kt.add_f32(grads[order[k]].grad, merged.back().data(), d);
+        }
+        rows.push_back(row);
+        i = j;
+    }
+    std::vector<SparseGradRef> steps;
+    for (size_t g = 0; g < rows.size(); g++) {
+        steps.push_back({rows[g], merged[g].data()});
+    }
+    opt.ApplyNaive(table, steps);
+}
+
+/** True when every row's optimizer state matches bit for bit. */
+bool
+SameOptimizerState(const SparseOptimizer& a, const SparseOptimizer& b,
+                   int64_t rows)
+{
+    const size_t n = a.StateFloatsPerRow();
+    if (n != b.StateFloatsPerRow()) {
+        return false;
+    }
+    std::vector<float> sa(n), sb(n);
+    for (int64_t r = 0; r < rows && n > 0; r++) {
+        a.ExportRowState(r, sa.data());
+        b.ExportRowState(r, sb.data());
+        if (std::memcmp(sa.data(), sb.data(), n * sizeof(float)) != 0) {
+            return false;
+        }
+    }
+    return true;
+}
+
+constexpr SparseOptimizerKind kAllSparseKinds[] = {
+    SparseOptimizerKind::kSgd, SparseOptimizerKind::kAdaGrad,
+    SparseOptimizerKind::kRowWiseAdaGrad, SparseOptimizerKind::kAdam};
+
+TEST(SparseOptimizer, ApplyExactMatchesStableSortReferenceBitwise)
+{
+    // Row counts whose keys take one 10-bit radix pass, two 8-bit passes
+    // and three 7-bit passes. The largest table is narrow to stay small.
+    struct Shape {
+        int64_t rows;
+        int64_t dim;
+    };
+    const Shape shapes[] = {{1000, 20}, {50000, 20}, {(1 << 20) + 37, 3}};
+    for (const SparseOptimizerKind kind : kAllSparseKinds) {
+        for (const Precision precision : {Precision::kFp32,
+                                          Precision::kFp16}) {
+            for (const Shape& shape : shapes) {
+                SCOPED_TRACE(std::string(SparseOptimizerKindName(kind)) +
+                             (precision == Precision::kFp16 ? " fp16"
+                                                            : " fp32") +
+                             " rows=" + std::to_string(shape.rows));
+                SparseOptimizerConfig config;
+                config.kind = kind;
+                config.learning_rate = 0.05f;
+                EmbeddingTable got(shape.rows, shape.dim, precision);
+                got.InitDeterministic(11, 0, 0, shape.dim);
+                EmbeddingTable want = got;
+                SparseOptimizer got_opt(config, shape.rows, shape.dim);
+                SparseOptimizer want_opt(config, shape.rows, shape.dim);
+
+                Rng rng(static_cast<uint64_t>(shape.rows) * 7 +
+                        static_cast<uint64_t>(kind));
+                const size_t d = static_cast<size_t>(shape.dim);
+                // Batches: two heavy-duplicate steps (so optimizer state
+                // builds up), a single occurrence, and an empty update.
+                for (const size_t n : {size_t(3000), size_t(3000), size_t(1),
+                                       size_t(0)}) {
+                    // Pooling 5: each sample's occurrences share one
+                    // gradient row, as in the fused backward.
+                    const size_t samples = (n + 4) / 5;
+                    Matrix grads(std::max<size_t>(samples, 1), d);
+                    for (size_t b = 0; b < samples; b++) {
+                        for (size_t c = 0; c < d; c++) {
+                            grads(b, c) = rng.NextUniform(-1.0f, 1.0f);
+                        }
+                        if (b % 7 == 3) {
+                            // A tie for the lexicographic merge: rows
+                            // b - 1 and b compare equal but differ in the
+                            // sign of a zero.
+                            grads(b - 1, 0) = 0.0f;
+                            std::memcpy(grads.Row(b), grads.Row(b - 1),
+                                        d * sizeof(float));
+                            grads(b, 0) = -0.0f;
+                        }
+                    }
+                    std::vector<SparseGradRef> refs;
+                    for (size_t i = 0; i < n; i++) {
+                        int64_t row;
+                        const uint64_t pick = rng.NextBounded(4);
+                        if (pick < 2) {
+                            row = static_cast<int64_t>(rng.NextBounded(6));
+                        } else if (pick == 2) {
+                            row = shape.rows - 1 -
+                                  static_cast<int64_t>(rng.NextBounded(3));
+                        } else {
+                            row = static_cast<int64_t>(rng.NextBounded(
+                                static_cast<uint64_t>(shape.rows)));
+                        }
+                        refs.push_back({row, grads.Row(i / 5)});
+                    }
+                    got_opt.ApplyExact(got, refs);
+                    ReferenceApplyExact(want_opt, want, refs);
+                    ASSERT_TRUE(EmbeddingTable::Identical(got, want))
+                        << "n=" << n;
+                    ASSERT_TRUE(
+                        SameOptimizerState(got_opt, want_opt, shape.rows))
+                        << "n=" << n;
+                }
+            }
+        }
+    }
+}
+
+TEST(SparseOptimizer, BadRowThrowsBeforeAnyStateChanges)
+{
+    // The trainer snapshots the rows GroupByRow returns into the step's
+    // undo log before applying, so a bad row must be rejected by the
+    // grouping itself: before any row, optimizer state or snapshot moves.
+    const int64_t rows = 16, dim = 4;
+    Matrix grads(3, dim);
+    for (int64_t c = 0; c < dim; c++) {
+        grads(0, c) = 0.5f;
+        grads(1, c) = -0.25f;
+        grads(2, c) = 1.0f;
+    }
+    for (const SparseOptimizerKind kind : kAllSparseKinds) {
+        for (const int64_t bad : {int64_t(-1), rows, int64_t(1) << 40}) {
+            SCOPED_TRACE(std::string(SparseOptimizerKindName(kind)) +
+                         " bad row " + std::to_string(bad));
+            SparseOptimizerConfig config;
+            config.kind = kind;
+            EmbeddingTable table(rows, dim);
+            table.InitDeterministic(3, 0, 0, dim);
+            SparseOptimizer opt(config, rows, dim);
+            // Earlier steps give the optimizer non-trivial state.
+            opt.ApplyExact(table, MakeRefs({2, 5, 2}, grads));
+            const EmbeddingTable table_before = table;
+            const SparseOptimizer opt_before = opt;
+
+            // Valid rows first, the bad one last: nothing may be applied.
+            const auto refs = MakeRefs({5, 2, bad}, grads);
+            EXPECT_THROW(opt.ApplyExact(table, refs), std::runtime_error);
+            EXPECT_THROW(opt.GroupByRow(refs), std::runtime_error);
+            // A failed grouping leaves nothing behind to apply.
+            opt.ApplyGrouped(table);
+            EXPECT_TRUE(EmbeddingTable::Identical(table, table_before));
+            EXPECT_TRUE(SameOptimizerState(opt, opt_before, rows));
+        }
+    }
+}
+
+TEST(SparseOptimizer, GroupByRowReturnsUniqueRowsAscending)
+{
+    Matrix grads(7, 2);
+    const auto refs = MakeRefs({9, 3, 9, 0, 3, 3, 14}, grads);
+    SparseOptimizerConfig config;
+    SparseOptimizer opt(config, 15, 2);
+    const std::span<const int64_t> rows = opt.GroupByRow(refs);
+    EXPECT_EQ(std::vector<int64_t>(rows.begin(), rows.end()),
+              (std::vector<int64_t>{0, 3, 9, 14}));
+    EXPECT_TRUE(opt.GroupByRow({}).empty());
 }
 
 // ---------------------------------------------------- EmbeddingBagCollection
