@@ -33,19 +33,25 @@ void
 TypedAllToAll(ProcessGroup& pg, const std::vector<std::vector<T>>& send,
               std::vector<std::vector<T>>& recv)
 {
+    // Empty vectors may have null data(), and memcpy with a null pointer
+    // is undefined even for zero bytes, so empty payloads skip the copy.
     std::vector<std::vector<uint8_t>> send_bytes(send.size());
     for (size_t r = 0; r < send.size(); r++) {
         send_bytes[r].resize(send[r].size() * sizeof(T));
-        std::memcpy(send_bytes[r].data(), send[r].data(),
-                    send_bytes[r].size());
+        if (!send_bytes[r].empty()) {
+            std::memcpy(send_bytes[r].data(), send[r].data(),
+                        send_bytes[r].size());
+        }
     }
     std::vector<std::vector<uint8_t>> recv_bytes;
     pg.AllToAllBytes(send_bytes, recv_bytes);
     recv.resize(recv_bytes.size());
     for (size_t r = 0; r < recv_bytes.size(); r++) {
         recv[r].resize(recv_bytes[r].size() / sizeof(T));
-        std::memcpy(recv[r].data(), recv_bytes[r].data(),
-                    recv_bytes[r].size());
+        if (!recv[r].empty()) {
+            std::memcpy(recv[r].data(), recv_bytes[r].data(),
+                        recv[r].size() * sizeof(T));
+        }
     }
 }
 

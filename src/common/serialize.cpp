@@ -44,8 +44,8 @@ std::string
 BinaryReader::ReadString()
 {
     const uint64_t n = Read<uint64_t>();
-    NEO_REQUIRE(pos_ + n <= buffer_.size(), "truncated string");
-    std::string s(reinterpret_cast<const char*>(buffer_.data() + pos_), n);
+    RequireRemaining(n, 1);
+    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
     pos_ += n;
     return s;
 }
@@ -55,7 +55,7 @@ BinaryReader::RequireRemaining(uint64_t count, size_t elem_size) const
 {
     // Divide instead of multiplying so a hostile 2^60-ish length prefix
     // cannot overflow the byte count and slip past the bounds check.
-    const uint64_t remaining = buffer_.size() - pos_;
+    const uint64_t remaining = data_.size() - pos_;
     NEO_REQUIRE(count <= remaining / elem_size,
                 "truncated or corrupt input: length prefix claims ", count,
                 " elements of ", elem_size, " bytes but only ", remaining,
@@ -65,11 +65,15 @@ BinaryReader::RequireRemaining(uint64_t count, size_t elem_size) const
 void
 BinaryReader::ReadBytes(uint8_t* dst, size_t n)
 {
-    NEO_REQUIRE(pos_ + n <= buffer_.size(),
+    NEO_REQUIRE(n <= data_.size() - pos_,
                 "truncated input: need ", n, " bytes at offset ", pos_,
-                " of ", buffer_.size());
-    std::memcpy(dst, buffer_.data() + pos_, n);
-    pos_ += n;
+                " of ", data_.size());
+    // memcpy with a null pointer is undefined even for zero bytes, and
+    // an empty vector's data() may be null.
+    if (n > 0) {
+        std::memcpy(dst, data_.data() + pos_, n);
+        pos_ += n;
+    }
 }
 
 }  // namespace neo

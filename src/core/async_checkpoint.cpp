@@ -98,9 +98,8 @@ AsyncCheckpointer::WriteDelta()
             NEO_REQUIRE(chain_intact,
                         "dropping delta generation ", generation,
                         ": an earlier delta failed to flush");
-            ckpt_.store().AppendDelta(
-                shared->rank,
-                DistributedCheckpointer::SerializeDelta(*shared));
+            ckpt_.store().AppendDelta(shared->rank,
+                                      std::move(shared->bytes));
             obs::MetricsRegistry::Get()
                 .GetCounter("neo.core.async_delta_flushes")
                 .Add();

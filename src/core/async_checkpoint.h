@@ -1,15 +1,15 @@
 /**
  * @file
  * Asynchronous differential checkpointing (Check-N-Run [9], Sec. 4.4):
- * take the serialize-and-store half of a delta write off the training
- * critical path. The step path only pays for CaptureDelta() — the epoch
- * agreement plus a copy of the touched rows — while serialization and
- * the (possibly disk-backed) store append run on a dedicated background
+ * take the store half of a delta write off the training critical path.
+ * The step path only pays for CaptureDelta() — the epoch agreement plus
+ * a copy of the dirty rows into the delta's stream bytes — while the
+ * (possibly disk-backed) store append runs on a dedicated background
  * lane, double-buffered: with max_in_flight = 2 the trainer can already
  * capture delta N+1 while delta N is still flushing.
  *
- * Torn-delta-chain invariant: AssembledCheckpoint::FromStore demands
- * strictly consecutive epochs per rank, so a delta chain with a hole is
+ * Torn-delta-chain invariant: ReadCheckpoint demands strictly
+ * consecutive epochs per rank, so a delta chain with a hole is
  * unreadable past the hole. Every capture is therefore tagged with a
  * write generation, and a flush task appends to the store only if every
  * earlier generation flushed successfully. If flush G fails, generations
@@ -37,7 +37,7 @@ class AsyncCheckpointer
     struct Options {
         /**
          * Captured-but-unflushed deltas allowed before WriteDelta()
-         * blocks (backpressure). 1 = serialize strictly one at a time
+         * blocks (backpressure). 1 = flush strictly one at a time
          * (still off the step path); 2 = classic double buffering.
          */
         size_t max_in_flight = 2;
@@ -76,8 +76,8 @@ class AsyncCheckpointer
     /**
      * Block until every enqueued delta reached the store. Rethrows (and
      * clears) the first flush failure. Call before reading the store
-     * (RestoreInto / FromStore) — an unflushed delta is not torn, it is
-     * simply not written yet.
+     * (RestoreInto / SnapshotFromStore) — an unflushed delta is not
+     * torn, it is simply not written yet.
      */
     void Flush();
 

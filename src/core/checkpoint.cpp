@@ -202,8 +202,9 @@ CheckpointStore::PutBaseline(int rank, std::vector<uint8_t> bytes)
         WriteFileAtomic(rank_dir / "baseline.bin", bytes);
         return;
     }
-    Entry& entry = entries_[rank];
-    entry.baseline = std::move(bytes);
+    RankStreams& entry = entries_[rank];
+    entry.baseline =
+        std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
     entry.deltas.clear();
 }
 
@@ -226,43 +227,48 @@ CheckpointStore::AppendDelta(int rank, std::vector<uint8_t> bytes)
     const auto it = entries_.find(rank);
     NEO_REQUIRE(it != entries_.end(),
                 "delta appended before any baseline for rank ", rank);
-    it->second.deltas.push_back(std::move(bytes));
+    it->second.deltas.push_back(
+        std::make_shared<const std::vector<uint8_t>>(std::move(bytes)));
 }
 
-std::vector<uint8_t>
-CheckpointStore::Baseline(int rank) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!dir_.empty()) {
-        const std::filesystem::path file =
-            std::filesystem::path(RankDir(rank)) / "baseline.bin";
-        NEO_REQUIRE(std::filesystem::exists(file),
-                    "no baseline stored for rank ", rank);
-        return ReadFileBytes(file);
-    }
-    const auto it = entries_.find(rank);
-    NEO_REQUIRE(it != entries_.end(), "no baseline stored for rank ", rank);
-    return it->second.baseline;
-}
-
-std::vector<std::vector<uint8_t>>
-CheckpointStore::Deltas(int rank) const
+CheckpointStore::RankStreams
+CheckpointStore::Streams(int rank) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!dir_.empty()) {
         const std::filesystem::path rank_dir(RankDir(rank));
         NEO_REQUIRE(std::filesystem::exists(rank_dir / "baseline.bin"),
-                    "no checkpoint stored for rank ", rank);
-        std::vector<std::vector<uint8_t>> deltas;
+                    "no baseline stored for rank ", rank);
+        RankStreams streams;
+        streams.baseline = std::make_shared<const std::vector<uint8_t>>(
+            ReadFileBytes(rank_dir / "baseline.bin"));
         for (size_t seq = 0;
              std::filesystem::exists(rank_dir / DeltaFileName(seq)); seq++) {
-            deltas.push_back(ReadFileBytes(rank_dir / DeltaFileName(seq)));
+            streams.deltas.push_back(
+                std::make_shared<const std::vector<uint8_t>>(
+                    ReadFileBytes(rank_dir / DeltaFileName(seq))));
         }
-        return deltas;
+        return streams;
     }
     const auto it = entries_.find(rank);
-    NEO_REQUIRE(it != entries_.end(), "no checkpoint stored for rank ", rank);
-    return it->second.deltas;
+    NEO_REQUIRE(it != entries_.end(), "no baseline stored for rank ", rank);
+    return it->second;
+}
+
+std::vector<uint8_t>
+CheckpointStore::Baseline(int rank) const
+{
+    return *Streams(rank).baseline;
+}
+
+std::vector<std::vector<uint8_t>>
+CheckpointStore::Deltas(int rank) const
+{
+    std::vector<std::vector<uint8_t>> deltas;
+    for (const StreamBytes& delta : Streams(rank).deltas) {
+        deltas.push_back(*delta);
+    }
+    return deltas;
 }
 
 std::vector<int>
@@ -304,9 +310,9 @@ CheckpointStore::TotalBytes() const
         return total;
     }
     for (const auto& [rank, entry] : entries_) {
-        total += entry.baseline.size();
+        total += entry.baseline->size();
         for (const auto& delta : entry.deltas) {
-            total += delta.size();
+            total += delta->size();
         }
     }
     return total;
@@ -320,6 +326,44 @@ CheckpointStore::Generation() const
 }
 
 // ---------------------------------------------------------------------------
+// Stream format shared by the writer and the reader
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** Stream header: magic u32, rank i32, epoch u64, entry count u64. */
+constexpr size_t kStreamHeaderBytes = 4 + 4 + 8 + 8;
+/** Entry header: table i32, is_dp u8, row and column ranges 4 x i64,
+ *  optimizer floats per row u32. */
+constexpr size_t kEntryHeaderBytes = 4 + 1 + 4 * 8 + 4;
+
+void
+WriteStreamHeader(BinaryWriter& writer, uint32_t magic, int rank,
+                  uint64_t epoch, uint64_t entries)
+{
+    writer.Write<uint32_t>(magic);
+    writer.Write<int32_t>(rank);
+    writer.Write<uint64_t>(epoch);
+    writer.Write<uint64_t>(entries);
+}
+
+void
+WriteEntryHeader(BinaryWriter& writer, int32_t table, bool is_dp,
+                 int64_t row_begin, int64_t row_end, int64_t col_begin,
+                 int64_t col_end, size_t sfpr)
+{
+    writer.Write<int32_t>(table);
+    writer.Write<uint8_t>(is_dp ? 1 : 0);
+    writer.Write<int64_t>(row_begin);
+    writer.Write<int64_t>(row_end);
+    writer.Write<int64_t>(col_begin);
+    writer.Write<int64_t>(col_end);
+    writer.Write<uint32_t>(static_cast<uint32_t>(sfpr));
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // DistributedCheckpointer
 // ---------------------------------------------------------------------------
 
@@ -327,6 +371,16 @@ DistributedCheckpointer::DistributedCheckpointer(DistributedDlrm& trainer,
                                                  CheckpointStore& store)
     : trainer_(trainer), store_(store)
 {
+    NEO_REQUIRE(trainer_.checkpointer_ == nullptr,
+                "rank ", trainer_.rank_,
+                " already has a live DistributedCheckpointer; two would "
+                "consume the same dirty-row marks and each miss rows");
+    trainer_.checkpointer_ = this;
+}
+
+DistributedCheckpointer::~DistributedCheckpointer()
+{
+    trainer_.checkpointer_ = nullptr;
 }
 
 void
@@ -346,69 +400,94 @@ DistributedCheckpointer::AgreeEpoch()
     epoch_ = next;
 }
 
+namespace {
+
+/** Rank 0's replicated dense state: bottom MLP, top MLP, dense optimizer. */
+std::vector<uint8_t>
+SaveDense(const ops::Mlp& bottom, const ops::Mlp& top,
+          const ops::DenseOptimizer& opt)
+{
+    BinaryWriter dense;
+    bottom.Save(dense);
+    top.Save(dense);
+    opt.Save(dense);
+    return dense.Take();
+}
+
+}  // namespace
+
 void
 DistributedCheckpointer::WriteBaseline()
 {
     NEO_TRACE_SPAN("checkpoint_baseline", "recovery");
     AgreeEpoch();
+    DistributedDlrm& t = trainer_;
+    const bool lead = t.rank_ == 0;
+    const std::vector<uint8_t> dense =
+        lead ? SaveDense(*t.bottom_, *t.top_, t.dense_opt_)
+             : std::vector<uint8_t>{};
 
-    BinaryWriter writer;
-    writer.Write<uint32_t>(kBaselineMagic);
-    writer.Write<int32_t>(trainer_.rank_);
-    writer.Write<uint64_t>(epoch_);
-    const uint64_t num_entries =
-        trainer_.shards_.size() +
-        (trainer_.rank_ == 0 ? trainer_.dp_tables_.size() : 0);
-    writer.Write<uint64_t>(num_entries);
-
-    shard_refs_.clear();
-    for (const auto& shard : trainer_.shards_) {
-        writer.Write<int32_t>(shard.meta.table);
-        writer.Write<uint8_t>(0);  // is_dp
-        writer.Write<int64_t>(shard.meta.row_begin);
-        writer.Write<int64_t>(shard.meta.row_end);
-        writer.Write<int64_t>(shard.meta.col_begin);
-        writer.Write<int64_t>(shard.meta.col_end);
-        writer.Write<uint32_t>(
-            static_cast<uint32_t>(shard.optimizer.StateFloatsPerRow()));
-        shard.table.Save(writer);
-        auto opt_state =
-            ExportAllRowState(shard.optimizer, shard.table.rows());
-        writer.WriteVector(opt_state);
-        shard_refs_.push_back({shard.table, std::move(opt_state)});
+    // Size the stream once, then hand the buffer itself to the store.
+    auto entry_bytes = [](const ops::EmbeddingTable& table,
+                          const ops::SparseOptimizer& opt) {
+        return kEntryHeaderBytes + table.SavedBytes() + sizeof(uint64_t) +
+               static_cast<size_t>(table.rows()) * opt.StateFloatsPerRow() *
+                   sizeof(float);
+    };
+    size_t bytes = kStreamHeaderBytes + 1 +
+                   (lead ? sizeof(uint64_t) + dense.size() : 0);
+    for (const auto& shard : t.shards_) {
+        bytes += entry_bytes(shard.table, shard.optimizer);
     }
-    dp_refs_.clear();
-    if (trainer_.rank_ == 0) {
-        for (const auto& dp : trainer_.dp_tables_) {
-            writer.Write<int32_t>(dp.table);
-            writer.Write<uint8_t>(1);  // is_dp
-            writer.Write<int64_t>(0);
-            writer.Write<int64_t>(dp.replica.rows());
-            writer.Write<int64_t>(0);
-            writer.Write<int64_t>(dp.replica.dim());
-            writer.Write<uint32_t>(
-                static_cast<uint32_t>(dp.optimizer.StateFloatsPerRow()));
-            dp.replica.Save(writer);
-            auto opt_state =
-                ExportAllRowState(dp.optimizer, dp.replica.rows());
-            writer.WriteVector(opt_state);
-            dp_refs_.push_back({dp.replica, std::move(opt_state)});
+    if (lead) {
+        for (const auto& dp : t.dp_tables_) {
+            bytes += entry_bytes(dp.replica, dp.optimizer);
         }
     }
+    BinaryWriter writer;
+    writer.Reserve(bytes);
 
+    WriteStreamHeader(writer, kBaselineMagic, t.rank_, epoch_,
+                      t.shards_.size() + (lead ? t.dp_tables_.size() : 0));
+    auto write_entry = [&](int32_t table, bool is_dp, int64_t row_begin,
+                           int64_t row_end, int64_t col_begin,
+                           int64_t col_end, const ops::EmbeddingTable& rows,
+                           const ops::SparseOptimizer& opt) {
+        WriteEntryHeader(writer, table, is_dp, row_begin, row_end,
+                         col_begin, col_end, opt.StateFloatsPerRow());
+        rows.Save(writer);
+        writer.WriteVector(ExportAllRowState(opt, rows.rows()));
+    };
+    for (const auto& shard : t.shards_) {
+        write_entry(shard.meta.table, false, shard.meta.row_begin,
+                    shard.meta.row_end, shard.meta.col_begin,
+                    shard.meta.col_end, shard.table, shard.optimizer);
+    }
+    if (lead) {
+        for (const auto& dp : t.dp_tables_) {
+            write_entry(dp.table, true, 0, dp.replica.rows(), 0,
+                        dp.replica.dim(), dp.replica, dp.optimizer);
+        }
+    }
     // The dense MLPs + dense optimizer are replicated and small relative
     // to the tables, so rank 0 stores them in full every time instead of
     // delta-encoding them.
-    writer.Write<uint8_t>(trainer_.rank_ == 0 ? 1 : 0);
-    if (trainer_.rank_ == 0) {
-        BinaryWriter dense;
-        trainer_.bottom_->Save(dense);
-        trainer_.top_->Save(dense);
-        trainer_.dense_opt_.Save(dense);
-        writer.WriteVector(dense.buffer());
+    writer.Write<uint8_t>(lead ? 1 : 0);
+    if (lead) {
+        writer.WriteVector(dense);
     }
 
-    store_.PutBaseline(trainer_.rank_, writer.buffer());
+    store_.PutBaseline(t.rank_, writer.Take());
+    // Every row is in the store now; the next delta starts from here.
+    for (auto& shard : t.shards_) {
+        shard.dirty.ClearAll();
+    }
+    if (lead) {
+        for (auto& dp : t.dp_tables_) {
+            dp.dirty.ClearAll();
+        }
+    }
+    has_baseline_ = true;
     obs::MetricsRegistry::Get()
         .GetCounter("neo.core.checkpoint_baselines")
         .Add();
@@ -418,146 +497,171 @@ void
 DistributedCheckpointer::WriteDelta()
 {
     NEO_TRACE_SPAN("checkpoint_delta", "recovery");
-    const DeltaCapture capture = CaptureDelta();
-    store_.AppendDelta(capture.rank, SerializeDelta(capture));
+    DeltaCapture capture = CaptureDelta();
+    store_.AppendDelta(capture.rank, std::move(capture.bytes));
 }
 
 DistributedCheckpointer::DeltaCapture
 DistributedCheckpointer::CaptureDelta()
 {
     NEO_TRACE_SPAN("checkpoint_capture", "recovery");
-    NEO_REQUIRE(shard_refs_.size() == trainer_.shards_.size(),
-                "WriteDelta before WriteBaseline");
+    NEO_REQUIRE(has_baseline_, "WriteDelta before WriteBaseline");
+    const int64_t start_ns = obs::NowNs();
     AgreeEpoch();
+    DistributedDlrm& t = trainer_;
+    const bool lead = t.rank_ == 0;
 
-    DeltaCapture capture;
-    capture.rank = trainer_.rank_;
-    capture.epoch = epoch_;
-
-    last_delta_rows_ = 0;
-    auto capture_entry = [&](int table, bool is_dp, int64_t row_begin,
-                             const ops::EmbeddingTable& current,
-                             const ops::SparseOptimizer& opt,
-                             Reference& ref) {
-        const int64_t rows = current.rows();
-        const int64_t dim = current.dim();
-        const size_t sfpr = opt.StateFloatsPerRow();
-        DeltaCapture::Entry entry;
-        entry.table = table;
-        entry.is_dp = is_dp;
-        entry.row_begin = row_begin;
-        entry.row_end = row_begin + rows;
-        entry.dim = dim;
-        entry.sfpr = static_cast<uint32_t>(sfpr);
-
-        std::vector<float> cur_row(static_cast<size_t>(dim));
-        std::vector<float> ref_row(static_cast<size_t>(dim));
-        std::vector<float> cur_opt(sfpr);
-        for (int64_t r = 0; r < rows; r++) {
-            current.ReadRow(r, cur_row.data());
-            ref.table.ReadRow(r, ref_row.data());
-            opt.ExportRowState(r, cur_opt.data());
-            const float* ref_opt =
-                ref.opt_state.data() + static_cast<size_t>(r) * sfpr;
-            const bool row_changed =
-                std::memcmp(cur_row.data(), ref_row.data(),
-                            static_cast<size_t>(dim) * sizeof(float)) != 0;
-            const bool opt_changed =
-                sfpr > 0 && std::memcmp(cur_opt.data(), ref_opt,
-                                        sfpr * sizeof(float)) != 0;
-            if (row_changed || opt_changed) {
-                // Delta rows carry GLOBAL row ids so restore can assemble
-                // logical tables without knowing the writer's sharding.
-                entry.changed.push_back(row_begin + r);
-                entry.payload.insert(entry.payload.end(), cur_row.begin(),
-                                     cur_row.end());
-                entry.opt_payload.insert(entry.opt_payload.end(),
-                                         cur_opt.begin(), cur_opt.end());
-                ref.table.WriteRow(r, cur_row.data());
-                std::memcpy(ref.opt_state.data() +
-                                static_cast<size_t>(r) * sfpr,
-                            cur_opt.data(), sfpr * sizeof(float));
-            }
-        }
-        last_delta_rows_ += entry.changed.size();
-        capture.entries.push_back(std::move(entry));
+    // What this rank writes: its shards, then (rank 0) the DP tables.
+    struct Source {
+        int32_t table;
+        bool is_dp;
+        int64_t row_begin;
+        const ops::EmbeddingTable& rows;
+        const ops::SparseOptimizer& opt;
+        DirtyRows& dirty;
     };
-
-    for (size_t i = 0; i < trainer_.shards_.size(); i++) {
-        auto& shard = trainer_.shards_[i];
-        capture_entry(shard.meta.table, false, shard.meta.row_begin,
-                      shard.table, shard.optimizer, shard_refs_[i]);
+    std::vector<Source> sources;
+    for (auto& shard : t.shards_) {
+        sources.push_back({shard.meta.table, false, shard.meta.row_begin,
+                           shard.table, shard.optimizer, shard.dirty});
     }
-    if (trainer_.rank_ == 0) {
-        NEO_REQUIRE(dp_refs_.size() == trainer_.dp_tables_.size(),
-                    "DP reference bookkeeping mismatch");
-        for (size_t i = 0; i < trainer_.dp_tables_.size(); i++) {
-            auto& dp = trainer_.dp_tables_[i];
-            capture_entry(dp.table, true, 0, dp.replica, dp.optimizer,
-                          dp_refs_[i]);
+    if (lead) {
+        for (auto& dp : t.dp_tables_) {
+            sources.push_back(
+                {dp.table, true, 0, dp.replica, dp.optimizer, dp.dirty});
         }
     }
 
-    // The dense state mutates next step, so the capture must copy it now
-    // even though serialization may run later on another thread.
-    capture.has_dense = trainer_.rank_ == 0;
-    if (capture.has_dense) {
-        BinaryWriter dense;
-        trainer_.bottom_->Save(dense);
-        trainer_.top_->Save(dense);
-        trainer_.dense_opt_.Save(dense);
-        capture.dense_blob = dense.buffer();
+    // The dense state mutates next step, so the capture copies it now.
+    const std::vector<uint8_t> dense =
+        lead ? SaveDense(*t.bottom_, *t.top_, t.dense_opt_)
+             : std::vector<uint8_t>{};
+
+    // List each entry's dirty rows (ascending) first, so the stream can
+    // be sized once and the rows copied straight into it.
+    dirty_rows_.resize(sources.size());
+    size_t bytes = kStreamHeaderBytes + 1 +
+                   (lead ? sizeof(uint64_t) + dense.size() : 0);
+    size_t max_sfpr = 0;
+    last_delta_rows_ = 0;
+    for (size_t i = 0; i < sources.size(); i++) {
+        std::vector<int64_t>& rows = dirty_rows_[i];
+        rows.clear();
+        sources[i].dirty.ForEach([&](int64_t r) { rows.push_back(r); });
+        const size_t dim = static_cast<size_t>(sources[i].rows.dim());
+        const size_t sfpr = sources[i].opt.StateFloatsPerRow();
+        bytes += kEntryHeaderBytes + 3 * sizeof(uint64_t) +
+                 rows.size() *
+                     (sizeof(int64_t) + (dim + sfpr) * sizeof(float));
+        max_sfpr = std::max(max_sfpr, sfpr);
+        last_delta_rows_ += rows.size();
     }
-
-    obs::MetricsRegistry::Get()
-        .GetCounter("neo.core.checkpoint_deltas")
-        .Add();
-    return capture;
-}
-
-std::vector<uint8_t>
-DistributedCheckpointer::SerializeDelta(const DeltaCapture& capture)
-{
-    NEO_TRACE_SPAN("checkpoint_serialize", "recovery");
     BinaryWriter writer;
-    writer.Write<uint32_t>(kDeltaStreamMagic);
-    writer.Write<int32_t>(capture.rank);
-    writer.Write<uint64_t>(capture.epoch);
-    writer.Write<uint64_t>(capture.entries.size());
-    for (const DeltaCapture::Entry& entry : capture.entries) {
-        writer.Write<int32_t>(entry.table);
-        writer.Write<uint8_t>(entry.is_dp ? 1 : 0);
-        writer.Write<int64_t>(entry.row_begin);
-        writer.Write<int64_t>(entry.row_end);
-        writer.Write<int64_t>(0);
-        writer.Write<int64_t>(entry.dim);
-        writer.Write<uint32_t>(entry.sfpr);
-        writer.WriteVector(entry.changed);
-        writer.WriteVector(entry.payload);
-        writer.WriteVector(entry.opt_payload);
+    writer.Reserve(bytes);
+
+    WriteStreamHeader(writer, kDeltaStreamMagic, t.rank_, epoch_,
+                      sources.size());
+    std::vector<float> state(max_sfpr);
+    for (size_t i = 0; i < sources.size(); i++) {
+        const Source& src = sources[i];
+        const std::vector<int64_t>& rows = dirty_rows_[i];
+        const size_t n = rows.size();
+        const size_t dim = static_cast<size_t>(src.rows.dim());
+        const size_t sfpr = src.opt.StateFloatsPerRow();
+        WriteEntryHeader(writer, src.table, src.is_dp, src.row_begin,
+                         src.row_begin + src.rows.rows(), 0,
+                         src.rows.dim(), sfpr);
+        // Delta rows carry GLOBAL row ids so a restore can place them
+        // without knowing the writer's sharding.
+        writer.Write<uint64_t>(n);
+        uint8_t* ids = writer.Extend(n * sizeof(int64_t));
+        for (size_t k = 0; k < n; k++) {
+            const int64_t global = src.row_begin + rows[k];
+            std::memcpy(ids + k * sizeof(int64_t), &global, sizeof(int64_t));
+        }
+        writer.Write<uint64_t>(n * dim);
+        src.rows.CopyRows(rows, writer.Extend(n * dim * sizeof(float)));
+        writer.Write<uint64_t>(n * sfpr);
+        uint8_t* opt = writer.Extend(n * sfpr * sizeof(float));
+        for (size_t k = 0; sfpr > 0 && k < n; k++) {
+            src.opt.ExportRowState(rows[k], state.data());
+            std::memcpy(opt + k * sfpr * sizeof(float), state.data(),
+                        sfpr * sizeof(float));
+        }
     }
-    writer.Write<uint8_t>(capture.has_dense ? 1 : 0);
-    if (capture.has_dense) {
-        writer.WriteVector(capture.dense_blob);
+    writer.Write<uint8_t>(lead ? 1 : 0);
+    if (lead) {
+        writer.WriteVector(dense);
     }
-    return writer.buffer();
+
+    // Every dirty row was just copied; only now do the marks go, so a
+    // capture that failed earlier leaves them for the next one.
+    for (Source& src : sources) {
+        src.dirty.ClearAll();
+    }
+
+    auto& metrics = obs::MetricsRegistry::Get();
+    metrics.GetCounter("neo.core.checkpoint_deltas").Add();
+    metrics.GetCounter("neo.core.checkpoint_delta_rows")
+        .Add(last_delta_rows_);
+    metrics.GetHistogram("neo.core.checkpoint_capture_seconds")
+        .Observe(static_cast<double>(obs::NowNs() - start_ns) * 1e-9);
+    return {t.rank_, writer.Take()};
 }
 
-AssembledCheckpoint
-AssembledCheckpoint::FromStore(const CheckpointStore& store,
-                               const DlrmConfig& config)
-{
-    AssembledCheckpoint assembled;
-    std::map<int, LogicalTable>& logical = assembled.tables;
-    std::vector<uint8_t>& dense_blob = assembled.dense_blob;
-    std::optional<uint64_t> final_epoch;
+// ---------------------------------------------------------------------------
+// Reader
+// ---------------------------------------------------------------------------
 
-    auto read_entry = [&](BinaryReader& reader, bool is_delta) {
+namespace {
+
+/** True iff `total` == `count` * `width`, without overflowing. */
+bool
+IsProduct(uint64_t total, uint64_t count, uint64_t width)
+{
+    return width == 0 ? total == 0
+                      : total % width == 0 && total / width == count;
+}
+
+/** Streams checkpoint entries into a fixed set of targets. */
+class TargetWriter
+{
+  public:
+    TargetWriter(const DlrmConfig& config,
+                 std::span<const RestoreTarget> targets)
+        : config_(config), targets_(targets), covered_(targets.size())
+    {
+        for (const RestoreTarget& t : targets_) {
+            NEO_REQUIRE(t.table >= 0 && t.table < static_cast<int>(
+                                                     config.tables.size()),
+                        "restore target references unknown table ",
+                        t.table);
+            const auto& cfg = config.tables[t.table];
+            NEO_REQUIRE(t.rows != nullptr && 0 <= t.row_begin &&
+                            t.row_begin < t.row_end &&
+                            t.row_end <= cfg.rows && 0 <= t.col_begin &&
+                            t.col_begin < t.col_end && t.col_end <= cfg.dim,
+                        "restore target geometry out of bounds");
+            NEO_REQUIRE(t.rows->rows() == t.row_end - t.row_begin &&
+                            t.rows->dim() == t.col_end - t.col_begin,
+                        "restore target table shape mismatch");
+            NEO_REQUIRE(t.optimizer == nullptr ||
+                            (t.col_begin == 0 && t.col_end == cfg.dim),
+                        "optimizer state restores only to full-width "
+                        "targets");
+        }
+    }
+
+    /** Read one entry (baseline or delta) and write its rows that fall
+     *  inside a target. */
+    void
+    ReadEntry(BinaryReader& reader, bool is_delta)
+    {
         const int32_t table = reader.Read<int32_t>();
         NEO_REQUIRE(table >= 0 &&
-                        table < static_cast<int32_t>(config.tables.size()),
+                        table < static_cast<int32_t>(config_.tables.size()),
                     "checkpoint entry references unknown table ", table);
-        const auto& cfg = config.tables[table];
+        const auto& cfg = config_.tables[table];
         reader.Read<uint8_t>();  // is_dp: placement hint only
         const int64_t row_begin = reader.Read<int64_t>();
         const int64_t row_end = reader.Read<int64_t>();
@@ -572,68 +676,126 @@ AssembledCheckpoint::FromStore(const CheckpointStore& store,
                         row_end <= cfg.rows,
                     "checkpoint row range out of bounds");
         const size_t expected_sfpr =
-            StateFloatsPerRowFor(config.sparse_optimizer, cfg.dim);
+            StateFloatsPerRowFor(config_.sparse_optimizer, cfg.dim);
         NEO_REQUIRE(sfpr == expected_sfpr,
                     "optimizer state layout mismatch: checkpoint has ",
                     sfpr, " floats/row, model expects ", expected_sfpr);
-
-        auto it = logical.find(table);
-        if (it == logical.end()) {
-            it = logical
-                     .emplace(table,
-                              LogicalTable(
-                                  ops::EmbeddingTable(cfg.rows, cfg.dim,
-                                                      cfg.precision),
-                                  expected_sfpr))
-                     .first;
-        }
-        LogicalTable& full = it->second;
-        std::vector<float> row(static_cast<size_t>(cfg.dim));
+        const size_t dim = static_cast<size_t>(cfg.dim);
+        row_.resize(dim);
+        state_.resize(sfpr);
 
         if (!is_delta) {
-            ops::EmbeddingTable piece = ops::EmbeddingTable::Load(reader);
+            const ops::EmbeddingTable::SavedView piece =
+                ops::EmbeddingTable::SavedView::Parse(reader);
             NEO_REQUIRE(piece.rows() == row_end - row_begin &&
                             piece.dim() == cfg.dim,
                         "baseline shard shape mismatch");
-            const auto opt = reader.ReadVector<float>();
-            NEO_REQUIRE(opt.size() == static_cast<size_t>(piece.rows()) *
-                                          expected_sfpr,
+            const VectorView<float> opt = reader.ViewVector<float>();
+            NEO_REQUIRE(IsProduct(opt.size,
+                                  static_cast<uint64_t>(piece.rows()),
+                                  expected_sfpr),
                         "baseline optimizer state size mismatch");
-            for (int64_t r = 0; r < piece.rows(); r++) {
-                piece.ReadRow(r, row.data());
-                full.table.WriteRow(row_begin + r, row.data());
+            for (size_t ti = 0; ti < targets_.size(); ti++) {
+                const RestoreTarget& t = targets_[ti];
+                const int64_t lo = std::max(row_begin, t.row_begin);
+                const int64_t hi = std::min(row_end, t.row_end);
+                if (t.table != table || lo >= hi) {
+                    continue;
+                }
+                for (int64_t g = lo; g < hi; g++) {
+                    piece.ReadRow(g - row_begin, row_.data());
+                    opt.CopyTo(static_cast<size_t>(g - row_begin) * sfpr,
+                               sfpr, state_.data());
+                    Write(t, g);
+                }
+                covered_[ti].emplace_back(lo, hi);
             }
-            std::memcpy(full.opt_state.data() +
-                            static_cast<size_t>(row_begin) * expected_sfpr,
-                        opt.data(), opt.size() * sizeof(float));
-        } else {
-            const auto changed = reader.ReadVector<int64_t>();
-            const auto payload = reader.ReadVector<float>();
-            const auto opt_payload = reader.ReadVector<float>();
-            NEO_REQUIRE(payload.size() ==
-                                changed.size() *
-                                    static_cast<size_t>(cfg.dim) &&
-                            opt_payload.size() ==
-                                changed.size() * expected_sfpr,
-                        "delta payload size mismatch");
-            for (size_t i = 0; i < changed.size(); i++) {
-                const int64_t g = changed[i];
-                NEO_REQUIRE(g >= row_begin && g < row_end,
-                            "delta row id ", g,
-                            " outside its entry's row range");
-                full.table.WriteRow(
-                    g, payload.data() + i * static_cast<size_t>(cfg.dim));
-                std::memcpy(full.opt_state.data() +
-                                static_cast<size_t>(g) * expected_sfpr,
-                            opt_payload.data() + i * expected_sfpr,
-                            expected_sfpr * sizeof(float));
+            return;
+        }
+
+        const VectorView<int64_t> changed = reader.ViewVector<int64_t>();
+        const VectorView<float> payload = reader.ViewVector<float>();
+        const VectorView<float> opt_payload = reader.ViewVector<float>();
+        NEO_REQUIRE(IsProduct(payload.size, changed.size, dim) &&
+                        IsProduct(opt_payload.size, changed.size,
+                                  expected_sfpr),
+                    "delta payload size mismatch");
+        for (size_t i = 0; i < changed.size; i++) {
+            const int64_t g = changed[i];
+            NEO_REQUIRE(g >= row_begin && g < row_end, "delta row id ", g,
+                        " outside its entry's row range");
+            bool copied = false;
+            for (const RestoreTarget& t : targets_) {
+                if (t.table != table || g < t.row_begin || g >= t.row_end) {
+                    continue;
+                }
+                if (!copied) {
+                    payload.CopyTo(i * dim, dim, row_.data());
+                    opt_payload.CopyTo(i * sfpr, sfpr, state_.data());
+                    copied = true;
+                }
+                Write(t, g);
             }
         }
-    };
+    }
+
+    /** Throw unless baselines covered every row of every target. */
+    void
+    RequireCovered()
+    {
+        for (size_t ti = 0; ti < targets_.size(); ti++) {
+            const RestoreTarget& t = targets_[ti];
+            auto& ranges = covered_[ti];
+            std::sort(ranges.begin(), ranges.end());
+            int64_t next = t.row_begin;
+            for (const auto& [lo, hi] : ranges) {
+                if (lo > next) {
+                    break;
+                }
+                next = std::max(next, hi);
+            }
+            NEO_REQUIRE(next >= t.row_end, "checkpoint is missing rows [",
+                        next, ", ", t.row_end, ") of table ", t.table,
+                        ": no baseline covers them");
+        }
+    }
+
+  private:
+    /** Write the current row_/state_ (logical row `g`) into `t`. */
+    void
+    Write(const RestoreTarget& t, int64_t g)
+    {
+        const int64_t local = g - t.row_begin;
+        t.rows->WriteRow(local, row_.data() + t.col_begin);
+        if (t.optimizer != nullptr && !state_.empty()) {
+            t.optimizer->ImportRowState(local, state_.data());
+        }
+    }
+
+    const DlrmConfig& config_;
+    std::span<const RestoreTarget> targets_;
+    /** Per target: the global row ranges baselines wrote into it. */
+    std::vector<std::vector<std::pair<int64_t, int64_t>>> covered_;
+    /** One logical row and its optimizer state, aligned for the copy. */
+    std::vector<float> row_;
+    std::vector<float> state_;
+};
+
+}  // namespace
+
+CheckpointContents
+ReadCheckpoint(const CheckpointStore& store, const DlrmConfig& config,
+               std::span<const RestoreTarget> targets)
+{
+    TargetWriter writer(config, targets);
+    CheckpointContents contents;
+    std::optional<uint64_t> final_epoch;
 
     for (const int wr : store.Ranks()) {
+        const CheckpointStore::RankStreams streams = store.Streams(wr);
+
         // Baseline stream.
-        BinaryReader reader(store.Baseline(wr));
+        BinaryReader reader{std::span<const uint8_t>(*streams.baseline)};
         NEO_REQUIRE(reader.Read<uint32_t>() == kBaselineMagic,
                     "bad baseline magic for rank ", wr);
         NEO_REQUIRE(reader.Read<int32_t>() == wr,
@@ -641,15 +803,15 @@ AssembledCheckpoint::FromStore(const CheckpointStore& store,
         uint64_t epoch = reader.Read<uint64_t>();
         const uint64_t base_entries = reader.Read<uint64_t>();
         for (uint64_t e = 0; e < base_entries; e++) {
-            read_entry(reader, /*is_delta=*/false);
+            writer.ReadEntry(reader, /*is_delta=*/false);
         }
         if (reader.Read<uint8_t>() != 0) {
-            dense_blob = reader.ReadVector<uint8_t>();
+            contents.dense_blob = reader.ReadVector<uint8_t>();
         }
 
         // Delta chain, with epoch continuity.
-        for (const auto& delta : store.Deltas(wr)) {
-            BinaryReader dr(delta);
+        for (const CheckpointStore::StreamBytes& delta : streams.deltas) {
+            BinaryReader dr{std::span<const uint8_t>(*delta)};
             NEO_REQUIRE(dr.Read<uint32_t>() == kDeltaStreamMagic,
                         "bad delta magic for rank ", wr);
             NEO_REQUIRE(dr.Read<int32_t>() == wr,
@@ -661,10 +823,10 @@ AssembledCheckpoint::FromStore(const CheckpointStore& store,
             epoch = delta_epoch;
             const uint64_t entries = dr.Read<uint64_t>();
             for (uint64_t e = 0; e < entries; e++) {
-                read_entry(dr, /*is_delta=*/true);
+                writer.ReadEntry(dr, /*is_delta=*/true);
             }
             if (dr.Read<uint8_t>() != 0) {
-                dense_blob = dr.ReadVector<uint8_t>();
+                contents.dense_blob = dr.ReadVector<uint8_t>();
             }
         }
         NEO_REQUIRE(!final_epoch.has_value() || *final_epoch == epoch,
@@ -673,11 +835,12 @@ AssembledCheckpoint::FromStore(const CheckpointStore& store,
         final_epoch = epoch;
     }
     NEO_REQUIRE(final_epoch.has_value(), "checkpoint store is empty");
-    NEO_REQUIRE(!dense_blob.empty(),
+    NEO_REQUIRE(!contents.dense_blob.empty(),
                 "checkpoint has no dense (MLP) state — rank 0's stream is "
                 "missing or incomplete");
-    assembled.epoch = *final_epoch;
-    return assembled;
+    writer.RequireCovered();
+    contents.epoch = *final_epoch;
+    return contents;
 }
 
 void
@@ -685,59 +848,41 @@ DistributedCheckpointer::RestoreInto(const CheckpointStore& store,
                                      DistributedDlrm& target)
 {
     NEO_TRACE_SPAN("checkpoint_restore", "recovery");
-    const AssembledCheckpoint assembled =
-        AssembledCheckpoint::FromStore(store, target.config_);
-    const std::map<int, AssembledCheckpoint::LogicalTable>& logical =
-        assembled.tables;
-
-    // Slice the logical tables onto the target's (possibly different)
-    // sharding.
-    std::vector<float> row_buf;
+    // Each rank reads only its own partition, whatever the writer's
+    // sharding was.
+    std::vector<RestoreTarget> targets;
     for (auto& shard : target.shards_) {
-        const auto it = logical.find(shard.meta.table);
-        NEO_REQUIRE(it != logical.end(), "checkpoint is missing table ",
-                    shard.meta.table);
-        const auto& full = it->second;
         NEO_REQUIRE(shard.meta.col_begin == 0 &&
-                        shard.meta.col_end == full.table.dim(),
+                        shard.meta.col_end ==
+                            target.config_.tables[shard.meta.table].dim,
                     "elastic restore cannot fill column-wise target shards");
-        row_buf.resize(static_cast<size_t>(full.table.dim()));
-        for (int64_t r = 0; r < shard.table.rows(); r++) {
-            const int64_t g = shard.meta.row_begin + r;
-            full.table.ReadRow(g, row_buf.data());
-            shard.table.WriteRow(r, row_buf.data());
-            if (full.sfpr > 0) {
-                shard.optimizer.ImportRowState(
-                    r, full.opt_state.data() +
-                           static_cast<size_t>(g) * full.sfpr);
-            }
-        }
+        targets.push_back({shard.meta.table, shard.meta.row_begin,
+                           shard.meta.row_end, 0, shard.table.dim(),
+                           &shard.table, &shard.optimizer});
     }
     for (auto& dp : target.dp_tables_) {
-        const auto it = logical.find(dp.table);
-        NEO_REQUIRE(it != logical.end(), "checkpoint is missing DP table ",
-                    dp.table);
-        const auto& full = it->second;
-        dp.replica = full.table;
-        if (full.sfpr > 0) {
-            for (int64_t r = 0; r < dp.replica.rows(); r++) {
-                dp.optimizer.ImportRowState(
-                    r, full.opt_state.data() +
-                           static_cast<size_t>(r) * full.sfpr);
-            }
-        }
+        targets.push_back({dp.table, 0, dp.replica.rows(), 0,
+                           dp.replica.dim(), &dp.replica, &dp.optimizer});
+    }
+    const CheckpointContents contents =
+        ReadCheckpoint(store, target.config_, targets);
+    for (auto& shard : target.shards_) {
+        shard.dirty.MarkAll();
+    }
+    for (auto& dp : target.dp_tables_) {
+        dp.dirty.MarkAll();
     }
 
-    BinaryReader dense(assembled.dense_blob);
+    BinaryReader dense{std::span<const uint8_t>(contents.dense_blob)};
     target.bottom_->Load(dense);
     target.top_->Load(dense);
     target.dense_opt_.Load(dense);
 
     // Consistency check on the (possibly shrunken) target group: every
     // rank must have restored the same epoch.
-    float sum = static_cast<float>(assembled.epoch);
+    float sum = static_cast<float>(contents.epoch);
     target.pg_.AllReduceSum(&sum, 1);
-    NEO_REQUIRE(sum == static_cast<float>(assembled.epoch) *
+    NEO_REQUIRE(sum == static_cast<float>(contents.epoch) *
                            static_cast<float>(target.world_),
                 "restored epoch differs across target ranks");
     obs::MetricsRegistry::Get().GetCounter("neo.core.restores").Add();

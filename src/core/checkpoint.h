@@ -11,13 +11,16 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/serialize.h"
 #include "core/dlrm_config.h"
 #include "ops/embedding_table.h"
+#include "ops/sparse_optimizer.h"
 
 namespace neo::core {
 
@@ -107,6 +110,23 @@ class CheckpointStore
     /** Delta chain for `rank`, in append order. */
     std::vector<std::vector<uint8_t>> Deltas(int rank) const;
 
+    /** One immutable stream, shared rather than copied. */
+    using StreamBytes = std::shared_ptr<const std::vector<uint8_t>>;
+
+    /** A rank's baseline and its delta chain, taken together. */
+    struct RankStreams {
+        StreamBytes baseline;
+        std::vector<StreamBytes> deltas;
+    };
+
+    /**
+     * `rank`'s baseline and delta chain (throws if it has no baseline).
+     * An in-memory store lends its bytes without copying; they stay valid
+     * while held, even if the rank writes a new baseline meanwhile. A
+     * disk store reads the files.
+     */
+    RankStreams Streams(int rank) const;
+
     /** Ranks with a stored baseline, ascending. */
     std::vector<int> Ranks() const;
 
@@ -116,7 +136,7 @@ class CheckpointStore
     /**
      * Monotonic write counter: bumped by every PutBaseline/AppendDelta.
      * A serving-side publisher lane polls this to notice "the trainer
-     * published something new" without assembling the store — when the
+     * published something new" without reading the store — when the
      * generation moved and the streams are at a consistent epoch, it
      * cuts and warm-publishes a fresh snapshot (see
      * FleetRouter::PublishFromStore).
@@ -124,58 +144,58 @@ class CheckpointStore
     uint64_t Generation() const;
 
   private:
-    struct Entry {
-        std::vector<uint8_t> baseline;
-        std::vector<std::vector<uint8_t>> deltas;
-    };
-
     std::string RankDir(int rank) const;
 
     mutable std::mutex mutex_;
-    std::map<int, Entry> entries_;
+    std::map<int, RankStreams> entries_;
     std::string dir_;
     uint64_t generation_ = 0;
 };
 
 /**
- * The logical-model view of a checkpoint store: per-rank baseline +
- * delta streams assembled into full tables (validated magics, shapes,
- * row ranges, epoch continuity — restore never trusts checkpoint
- * bytes). Non-collective, so a single serving rank can assemble a
- * published checkpoint without a process group; both elastic restore
- * (DistributedCheckpointer::RestoreInto) and snapshot building
- * (serve::SnapshotFromStore) slice from this.
+ * Where a checkpoint read writes: the rectangle of logical table `table`
+ * spanning global rows [row_begin, row_end) and columns [col_begin,
+ * col_end), held by `rows` (local row 0 = global row_begin, local column
+ * 0 = col_begin), plus, optionally, the matching sparse-optimizer row
+ * state (full-width targets only: optimizer state is per logical row).
  */
-struct AssembledCheckpoint {
-    /** One fully-assembled logical table (baseline + deltas applied). */
-    struct LogicalTable {
-        ops::EmbeddingTable table;
-        /** Sparse-optimizer row state, rows x sfpr. */
-        std::vector<float> opt_state;
-        size_t sfpr;
-        LogicalTable(ops::EmbeddingTable t, size_t s)
-            : table(std::move(t)), sfpr(s)
-        {
-            opt_state.assign(static_cast<size_t>(table.rows()) * s, 0.0f);
-        }
-    };
+struct RestoreTarget {
+    int table = -1;
+    int64_t row_begin = 0;
+    int64_t row_end = 0;
+    int64_t col_begin = 0;
+    int64_t col_end = 0;
+    ops::EmbeddingTable* rows = nullptr;
+    ops::SparseOptimizer* optimizer = nullptr;
+};
 
-    /** Table index -> assembled table. */
-    std::map<int, LogicalTable> tables;
-    /** Replicated dense state: bottom MLP + top MLP + dense optimizer. */
-    std::vector<uint8_t> dense_blob;
+/** What ReadCheckpoint returns besides the rows it wrote. */
+struct CheckpointContents {
     /** Consistency epoch every stream ended at. */
     uint64_t epoch = 0;
-
-    /**
-     * Assemble the streams in `store` for a model shaped like `config`.
-     * Throws on corrupt/truncated/out-of-order streams, or if streams
-     * end at different epochs. Column-wise writer shards are rejected
-     * (row assembly only, as in elastic restore).
-     */
-    static AssembledCheckpoint FromStore(const CheckpointStore& store,
-                                         const DlrmConfig& config);
+    /** Replicated dense state: bottom MLP + top MLP + dense optimizer. */
+    std::vector<uint8_t> dense_blob;
 };
+
+/**
+ * The one checkpoint reader, shared by elastic restore
+ * (DistributedCheckpointer::RestoreInto) and snapshot building
+ * (serve::SnapshotFromStore). Streams each writer rank's baseline and
+ * then its deltas, in order, and writes only the rows inside `targets`,
+ * straight into their tables and optimizer state — nothing the size of
+ * a logical table is built, so a reader pays for what it holds, not for
+ * the model. Non-collective.
+ *
+ * Restore never trusts checkpoint bytes: it throws std::runtime_error on
+ * bad magics or rank tags, truncated or oversized fields, a delta chain
+ * whose epochs are not consecutive, streams that end at different
+ * epochs, entries whose shape, optimizer layout or row range does not
+ * fit `config`, column-wise writer shards, a missing dense state, and a
+ * target row that no baseline covers.
+ */
+CheckpointContents ReadCheckpoint(const CheckpointStore& store,
+                                  const DlrmConfig& config,
+                                  std::span<const RestoreTarget> targets);
 
 /**
  * Multi-table, per-rank differential checkpointer for a DistributedDlrm
@@ -186,15 +206,28 @@ struct AssembledCheckpoint {
  * optimizer state (identical on all ranks). Every Write*() agrees a
  * cross-rank consistency epoch via the collective layer, so a restore can
  * verify all streams describe the same step.
+ *
+ * Deltas carry the rows the trainer marked dirty (DirtyRows) since the
+ * last write, and each write clears the marks it consumed — so a trainer
+ * admits one live checkpointer at a time.
  */
 class DistributedCheckpointer
 {
   public:
     /**
-     * @param trainer The partition to checkpoint (not owned).
+     * @param trainer The partition to checkpoint (not owned; must not
+     *   already have a live checkpointer — throws std::runtime_error).
      * @param store Destination for the serialized streams (not owned).
      */
     DistributedCheckpointer(DistributedDlrm& trainer, CheckpointStore& store);
+
+    /** Releases the trainer for another checkpointer. */
+    ~DistributedCheckpointer();
+
+    // The trainer holds this object's address.
+    DistributedCheckpointer(const DistributedCheckpointer&) = delete;
+    DistributedCheckpointer& operator=(const DistributedCheckpointer&) =
+        delete;
 
     /** Write a full baseline for this rank (collective; all ranks call). */
     void WriteBaseline();
@@ -204,49 +237,28 @@ class DistributedCheckpointer
 
     /**
      * The foreground half of a delta write: everything that must see the
-     * model frozen at one step. Agrees the epoch (collective), scans the
-     * shards against their references, and copies out just the touched
-     * rows (plus rank 0's dense state) — the cheap memcpy the step path
-     * pays. The returned capture is self-contained: serialization and
-     * store appends can happen on another thread while training resumes
-     * (AsyncCheckpointer). SerializeDelta(CaptureDelta()) is byte-for-
-     * byte what WriteDelta() appends.
+     * model frozen at one step. Agrees the epoch (collective), then
+     * copies exactly the dirty rows — ascending, with their optimizer
+     * state, plus rank 0's dense state — straight into the delta stream's
+     * bytes, and clears those marks. Its cost follows the rows training
+     * touched, not the table size. The returned capture is
+     * self-contained: appending it to the store can happen on another
+     * thread while training resumes (AsyncCheckpointer); its bytes are
+     * exactly what WriteDelta() appends.
      */
     struct DeltaCapture {
-        /** One shard's (or DP table's) changed-row set. */
-        struct Entry {
-            int32_t table = -1;
-            bool is_dp = false;
-            int64_t row_begin = 0;
-            int64_t row_end = 0;
-            int64_t dim = 0;
-            uint32_t sfpr = 0;
-            /** Global row ids of the touched rows. */
-            std::vector<int64_t> changed;
-            /** Touched-row values, changed.size() x dim. */
-            std::vector<float> payload;
-            /** Touched-row optimizer state, changed.size() x sfpr. */
-            std::vector<float> opt_payload;
-        };
         int rank = 0;
-        uint64_t epoch = 0;
-        std::vector<Entry> entries;
-        /** Rank 0's replicated dense state (empty elsewhere). */
-        bool has_dense = false;
-        std::vector<uint8_t> dense_blob;
+        /** The delta in the store's stream format. */
+        std::vector<uint8_t> bytes;
     };
 
     /** Capture the foreground half of a delta (collective; all ranks). */
     DeltaCapture CaptureDelta();
 
-    /** Serialize a capture into the store's delta-stream format. Pure
-     *  function of the capture — safe off-thread. */
-    static std::vector<uint8_t> SerializeDelta(const DeltaCapture& capture);
-
     /** Consistency epoch of the last completed Write*(). */
     uint64_t epoch() const { return epoch_; }
 
-    /** Destination store (for deferred SerializeDelta appends). */
+    /** Destination store (for deferred appends). */
     CheckpointStore& store() { return store_; }
 
     /** Changed rows across all shards in the last WriteDelta(). */
@@ -254,25 +266,18 @@ class DistributedCheckpointer
 
     /**
      * Restore `target` from the streams in `store`, regardless of how the
-     * writing job was sharded: the per-rank streams are assembled into
-     * full logical tables (baseline + ordered deltas, with epoch
-     * continuity checks), then sliced onto `target`'s shards — which is
-     * what lets a 3-worker survivor job load a 4-worker job's checkpoint.
-     * Collective on `target`'s process group (all its ranks must call);
-     * finishes with an epoch-agreement AllReduce as a consistency check.
+     * writing job was sharded: ReadCheckpoint streams every writer's
+     * baseline and deltas and keeps only the rows of `target`'s own
+     * shards and DP tables — which is what lets a 3-worker survivor job
+     * load a 4-worker job's checkpoint, each rank holding just its
+     * partition. Marks every restored row dirty. Collective on
+     * `target`'s process group (all its ranks must call); finishes with
+     * an epoch-agreement AllReduce as a consistency check.
      */
     static void RestoreInto(const CheckpointStore& store,
                             DistributedDlrm& target);
 
   private:
-    /** Per-shard reference copy for delta detection. */
-    struct Reference {
-        ops::EmbeddingTable table;
-        /** Optimizer row state as of the last checkpoint (rows x
-         *  StateFloatsPerRow). */
-        std::vector<float> opt_state;
-    };
-
     /** Agree the next epoch across ranks; throws on divergence. */
     void AgreeEpoch();
 
@@ -280,10 +285,10 @@ class DistributedCheckpointer
     CheckpointStore& store_;
     uint64_t epoch_ = 0;
     uint64_t last_delta_rows_ = 0;
-    /** References for model-parallel shards, trainer shard order. */
-    std::vector<Reference> shard_refs_;
-    /** References for replicated DP tables (rank 0 only writes them). */
-    std::vector<Reference> dp_refs_;
+    /** Deltas need a baseline from this checkpointer to chain onto. */
+    bool has_baseline_ = false;
+    /** Capture scratch, reused: the dirty rows of each entry. */
+    std::vector<std::vector<int64_t>> dirty_rows_;
 };
 
 }  // namespace neo::core

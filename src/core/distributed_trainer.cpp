@@ -457,10 +457,11 @@ DistributedDlrm::ExchangeGradsAndUpdate(const PreparedInput& prepared,
             }
             offset += lens[b];
         }
-        // Group once: the undo log snapshots exactly the rows the exact
-        // update is about to step.
+        // Group once: the dirty bits and the undo log cover exactly the
+        // rows the update is about to step.
         const std::span<const int64_t> rows =
             shard.optimizer.GroupByRow(refs);
+        shard.dirty.Mark(rows);
         if (txn_ != nullptr) {
             txn_->CaptureShardRows(i, rows);
         }
@@ -532,6 +533,7 @@ DistributedDlrm::UpdateDpTables(const PreparedInput& prepared,
             idx_cursor[src] = offset;
         }
         const std::span<const int64_t> rows = dp.optimizer.GroupByRow(refs);
+        dp.dirty.Mark(rows);
         if (txn_ != nullptr) {
             txn_->CaptureDpRows(dpi, rows);
         }
@@ -585,6 +587,7 @@ DistributedDlrm::LoadLocal(BinaryReader& reader)
                         loaded.dim() == shard.table.dim(),
                     "checkpoint shard shape mismatch");
         shard.table = std::move(loaded);
+        shard.dirty.MarkAll();
     }
     const uint64_t num_dp = reader.Read<uint64_t>();
     NEO_REQUIRE(num_dp == dp_tables_.size(),
@@ -593,7 +596,11 @@ DistributedDlrm::LoadLocal(BinaryReader& reader)
         NEO_REQUIRE(reader.Read<int32_t>() == dp.table,
                     "checkpoint DP table mismatch");
         ops::EmbeddingTable loaded = ops::EmbeddingTable::Load(reader);
+        NEO_REQUIRE(loaded.rows() == dp.replica.rows() &&
+                        loaded.dim() == dp.replica.dim(),
+                    "checkpoint DP table shape mismatch");
         dp.replica = std::move(loaded);
+        dp.dirty.MarkAll();
     }
     bottom_->Load(reader);
     top_->Load(reader);

@@ -26,8 +26,10 @@
 
 #include "comm/process_group.h"
 #include "comm/quantized.h"
+#include "core/dirty_rows.h"
 #include "core/dlrm_config.h"
 #include "core/shard_router.h"
+#include "core/step_transaction.h"
 #include "data/dataset.h"
 #include "obs/exposition.h"
 #include "ops/mlp.h"
@@ -37,7 +39,6 @@
 
 namespace neo::core {
 
-class StepTransaction;
 class DistributedCheckpointer;
 
 /** Trainer knobs beyond the model config. */
@@ -221,9 +222,12 @@ class DistributedDlrm
         sharding::Shard meta;
         ops::EmbeddingTable table;
         ops::SparseOptimizer optimizer;
+        /** Rows changed since the last checkpoint (see DirtyRows). */
+        DirtyRows dirty;
         LocalShard(const sharding::Shard& m, ops::EmbeddingTable t,
                    ops::SparseOptimizer o)
-            : meta(m), table(std::move(t)), optimizer(std::move(o)) {}
+            : meta(m), table(std::move(t)), optimizer(std::move(o)),
+              dirty(table.rows()) {}
     };
 
     /** Replicated data-parallel table. */
@@ -231,8 +235,11 @@ class DistributedDlrm
         int table = -1;
         ops::EmbeddingTable replica;
         ops::SparseOptimizer optimizer;
+        /** Rows changed since the last checkpoint (see DirtyRows). */
+        DirtyRows dirty;
         DpTable(int idx, ops::EmbeddingTable t, ops::SparseOptimizer o)
-            : table(idx), replica(std::move(t)), optimizer(std::move(o)) {}
+            : table(idx), replica(std::move(t)), optimizer(std::move(o)),
+              dirty(replica.rows()) {}
     };
 
     /**
@@ -243,7 +250,8 @@ class DistributedDlrm
     void SaveLocal(BinaryWriter& writer) const;
 
     /** Restore a partition written by SaveLocal on the same rank of an
-     *  identically-configured trainer. */
+     *  identically-configured trainer. Marks every row dirty, so the
+     *  next delta checkpoint carries the whole loaded partition. */
     void LoadLocal(BinaryReader& reader);
 
     size_t NumLocalShards() const { return shards_.size(); }
@@ -325,6 +333,12 @@ class DistributedDlrm
      *  immediately before mutating state. Null outside transactional
      *  retries. */
     StepTransaction* txn_ = nullptr;
+
+    /** Buffers every StepTransaction on this trainer reuses. */
+    UndoLog undo_log_;
+
+    /** The live checkpointer consuming the dirty bits (at most one). */
+    DistributedCheckpointer* checkpointer_ = nullptr;
 
     /** Rank-0 periodic metrics exposition (inert without a telemetry
      *  directory); stops itself on destruction. */

@@ -8,12 +8,15 @@
 namespace neo::core {
 
 StepTransaction::StepTransaction(DistributedDlrm& trainer)
-    : trainer_(trainer)
+    : trainer_(trainer), log_(trainer.undo_log_)
 {
     NEO_REQUIRE(trainer_.txn_ == nullptr,
                 "trainer already has an active StepTransaction");
-    shard_snapshots_.resize(trainer_.shards_.size());
-    dp_snapshots_.resize(trainer_.dp_tables_.size());
+    log_.shards.resize(trainer_.shards_.size());
+    log_.dp.resize(trainer_.dp_tables_.size());
+    // An earlier transaction unwound by a non-RankFailure exception ended
+    // without Commit or Rollback; start from an empty log regardless.
+    Commit();
     trainer_.txn_ = this;
 }
 
@@ -26,7 +29,7 @@ void
 StepTransaction::CaptureRows(const ops::EmbeddingTable& table,
                              const ops::SparseOptimizer& optimizer,
                              std::span<const int64_t> rows,
-                             RowsSnapshot& snapshot)
+                             UndoLog::Rows& snapshot)
 {
     snapshot.rows.assign(rows.begin(), rows.end());
     const size_t d = static_cast<size_t>(table.dim());
@@ -47,9 +50,9 @@ void
 StepTransaction::CaptureShardRows(size_t shard_index,
                                   std::span<const int64_t> rows)
 {
-    NEO_REQUIRE(shard_index < shard_snapshots_.size(),
+    NEO_REQUIRE(shard_index < log_.shards.size(),
                 "shard index out of range");
-    RowsSnapshot& snapshot = shard_snapshots_[shard_index];
+    UndoLog::Rows& snapshot = log_.shards[shard_index];
     NEO_REQUIRE(!snapshot.captured,
                 "shard captured twice in one transaction");
     const auto& shard = trainer_.shards_[shard_index];
@@ -60,8 +63,8 @@ void
 StepTransaction::CaptureDpRows(size_t dp_index,
                                std::span<const int64_t> rows)
 {
-    NEO_REQUIRE(dp_index < dp_snapshots_.size(), "DP index out of range");
-    RowsSnapshot& snapshot = dp_snapshots_[dp_index];
+    NEO_REQUIRE(dp_index < log_.dp.size(), "DP index out of range");
+    UndoLog::Rows& snapshot = log_.dp[dp_index];
     NEO_REQUIRE(!snapshot.captured, "DP table captured twice");
     const auto& dp = trainer_.dp_tables_[dp_index];
     CaptureRows(dp.replica, dp.optimizer, rows, snapshot);
@@ -70,13 +73,13 @@ StepTransaction::CaptureDpRows(size_t dp_index,
 void
 StepTransaction::CaptureDense()
 {
-    NEO_REQUIRE(!dense_.captured, "dense state captured twice");
-    BinaryWriter writer;
+    NEO_REQUIRE(!log_.dense_captured, "dense state captured twice");
+    BinaryWriter writer(std::move(log_.dense));
     trainer_.bottom_->Save(writer);
     trainer_.top_->Save(writer);
     trainer_.dense_opt_.Save(writer);
-    dense_.blob = writer.buffer();
-    dense_.captured = true;
+    log_.dense = writer.Take();
+    log_.dense_captured = true;
 }
 
 void
@@ -85,7 +88,7 @@ StepTransaction::Rollback()
     NEO_TRACE_SPAN("step_rollback", "recovery");
     auto restore_rows = [](ops::EmbeddingTable& table,
                            ops::SparseOptimizer& optimizer,
-                           const RowsSnapshot& snapshot) {
+                           const UndoLog::Rows& snapshot) {
         if (!snapshot.captured) {
             return;
         }
@@ -100,16 +103,16 @@ StepTransaction::Rollback()
             }
         }
     };
-    for (size_t i = 0; i < shard_snapshots_.size(); i++) {
+    for (size_t i = 0; i < log_.shards.size(); i++) {
         restore_rows(trainer_.shards_[i].table,
-                     trainer_.shards_[i].optimizer, shard_snapshots_[i]);
+                     trainer_.shards_[i].optimizer, log_.shards[i]);
     }
-    for (size_t i = 0; i < dp_snapshots_.size(); i++) {
+    for (size_t i = 0; i < log_.dp.size(); i++) {
         restore_rows(trainer_.dp_tables_[i].replica,
-                     trainer_.dp_tables_[i].optimizer, dp_snapshots_[i]);
+                     trainer_.dp_tables_[i].optimizer, log_.dp[i]);
     }
-    if (dense_.captured) {
-        BinaryReader reader(dense_.blob);
+    if (log_.dense_captured) {
+        BinaryReader reader{std::span<const uint8_t>(log_.dense)};
         trainer_.bottom_->Load(reader);
         trainer_.top_->Load(reader);
         trainer_.dense_opt_.Load(reader);
@@ -121,38 +124,46 @@ StepTransaction::Rollback()
 void
 StepTransaction::Commit()
 {
-    for (auto& snapshot : shard_snapshots_) {
-        snapshot = RowsSnapshot{};
+    // clear() keeps each buffer's capacity for the next step.
+    auto clear = [](UndoLog::Rows& snapshot) {
+        snapshot.captured = false;
+        snapshot.rows.clear();
+        snapshot.values.clear();
+        snapshot.opt_state.clear();
+    };
+    for (auto& snapshot : log_.shards) {
+        clear(snapshot);
     }
-    for (auto& snapshot : dp_snapshots_) {
-        snapshot = RowsSnapshot{};
+    for (auto& snapshot : log_.dp) {
+        clear(snapshot);
     }
-    dense_ = DenseSnapshot{};
+    log_.dense_captured = false;
+    log_.dense.clear();
 }
 
 std::span<const int64_t>
 StepTransaction::shard_rows(size_t shard_index) const
 {
-    NEO_REQUIRE(shard_index < shard_snapshots_.size(),
+    NEO_REQUIRE(shard_index < log_.shards.size(),
                 "shard index out of range");
-    return shard_snapshots_[shard_index].rows;
+    return log_.shards[shard_index].rows;
 }
 
 std::span<const int64_t>
 StepTransaction::dp_rows(size_t dp_index) const
 {
-    NEO_REQUIRE(dp_index < dp_snapshots_.size(), "DP index out of range");
-    return dp_snapshots_[dp_index].rows;
+    NEO_REQUIRE(dp_index < log_.dp.size(), "DP index out of range");
+    return log_.dp[dp_index].rows;
 }
 
 uint64_t
 StepTransaction::captured_rows() const
 {
     uint64_t total = 0;
-    for (const auto& snapshot : shard_snapshots_) {
+    for (const auto& snapshot : log_.shards) {
         total += snapshot.rows.size();
     }
-    for (const auto& snapshot : dp_snapshots_) {
+    for (const auto& snapshot : log_.dp) {
         total += snapshot.rows.size();
     }
     return total;

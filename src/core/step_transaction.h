@@ -27,6 +27,30 @@ namespace neo::core {
 class DistributedDlrm;
 
 /**
+ * The buffers a StepTransaction fills. The trainer owns one and lends it
+ * to every transaction, and Commit empties the buffers without freeing
+ * them, so steady-state steps reuse the same capacity instead of
+ * allocating (and page-faulting in) a fresh undo log each step.
+ */
+struct UndoLog {
+    /** Pre-image of the rows one shard's update is about to touch. */
+    struct Rows {
+        bool captured = false;
+        /** Unique touched rows, ascending (local row ids). */
+        std::vector<int64_t> rows;
+        /** Row values, rows.size() x dim. */
+        std::vector<float> values;
+        /** Optimizer row state, rows.size() x StateFloatsPerRow. */
+        std::vector<float> opt_state;
+    };
+    std::vector<Rows> shards;
+    std::vector<Rows> dp;
+    /** Pre-image of the dense MLPs + dense optimizer. */
+    bool dense_captured = false;
+    std::vector<uint8_t> dense;
+};
+
+/**
  * RAII undo log for one training-step attempt. Construction registers the
  * transaction with the trainer, whose update phases then call the
  * Capture* hooks immediately before mutating state; destruction detaches.
@@ -59,7 +83,7 @@ class StepTransaction
     uint64_t captured_rows() const;
 
     /** True once CaptureDense() ran for this attempt. */
-    bool dense_captured() const { return dense_.captured; }
+    bool dense_captured() const { return log_.dense_captured; }
 
     /** Rows captured for local shard i: unique, ascending (empty until
      *  its capture). */
@@ -70,23 +94,6 @@ class StepTransaction
 
   private:
     friend class DistributedDlrm;
-
-    /** Pre-image of the rows one shard's update is about to touch. */
-    struct RowsSnapshot {
-        bool captured = false;
-        /** Unique touched rows, ascending (local row ids). */
-        std::vector<int64_t> rows;
-        /** Row values, rows.size() x dim. */
-        std::vector<float> values;
-        /** Optimizer row state, rows.size() x StateFloatsPerRow. */
-        std::vector<float> opt_state;
-    };
-
-    /** Pre-image of the dense MLPs + dense optimizer. */
-    struct DenseSnapshot {
-        bool captured = false;
-        std::vector<uint8_t> blob;
-    };
 
     /**
      * Capture shard i's touched rows (called before its sparse apply).
@@ -105,12 +112,11 @@ class StepTransaction
     static void CaptureRows(const ops::EmbeddingTable& table,
                             const ops::SparseOptimizer& optimizer,
                             std::span<const int64_t> rows,
-                            RowsSnapshot& snapshot);
+                            UndoLog::Rows& snapshot);
 
     DistributedDlrm& trainer_;
-    std::vector<RowsSnapshot> shard_snapshots_;
-    std::vector<RowsSnapshot> dp_snapshots_;
-    DenseSnapshot dense_;
+    /** The trainer's reusable buffers (see UndoLog). */
+    UndoLog& log_;
 };
 
 }  // namespace neo::core

@@ -1,6 +1,7 @@
 #include "ops/embedding_table.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 #include "kernels/kernels.h"
@@ -78,6 +79,38 @@ EmbeddingTable::ReadRow(int64_t row, float* out) const
     } else {
         kernels::Active().dequant_f16(data_f16_.data() + base, out,
                                       static_cast<size_t>(dim_));
+    }
+}
+
+void
+EmbeddingTable::CopyRows(std::span<const int64_t> rows, uint8_t* out) const
+{
+    const size_t d = static_cast<size_t>(dim_);
+    const size_t row_bytes = d * sizeof(float);
+    // Rows are scattered across the table: prefetch a few ahead so their
+    // cache misses overlap instead of arriving one at a time.
+    constexpr size_t kAhead = 8;
+    static thread_local AlignedVector<float> widened;
+    widened.resize(d);
+    for (size_t i = 0; i < rows.size(); i++) {
+        NEO_CHECK(rows[i] >= 0 && rows[i] < rows_,
+                  "row index out of range: ", rows[i]);
+        const size_t base = static_cast<size_t>(rows[i]) * d;
+        if (i + kAhead < rows.size()) {
+            const size_t next = static_cast<size_t>(rows[i + kAhead]) * d;
+            __builtin_prefetch(precision_ == Precision::kFp32
+                                   ? static_cast<const void*>(
+                                         data_f32_.data() + next)
+                                   : data_f16_.data() + next);
+        }
+        if (precision_ == Precision::kFp32) {
+            std::memcpy(out + i * row_bytes, data_f32_.data() + base,
+                        row_bytes);
+        } else {
+            kernels::Active().dequant_f16(data_f16_.data() + base,
+                                          widened.data(), d);
+            std::memcpy(out + i * row_bytes, widened.data(), row_bytes);
+        }
     }
 }
 
@@ -173,28 +206,75 @@ EmbeddingTable::Save(BinaryWriter& writer) const
     }
 }
 
-EmbeddingTable
-EmbeddingTable::Load(BinaryReader& reader)
+size_t
+EmbeddingTable::SavedBytes() const
+{
+    // magic, rows, dim, precision tag, payload length prefix, payload.
+    return sizeof(uint32_t) + 2 * sizeof(int64_t) + sizeof(uint8_t) +
+           sizeof(uint64_t) + ParameterBytes();
+}
+
+EmbeddingTable::SavedView
+EmbeddingTable::SavedView::Parse(BinaryReader& reader)
 {
     const uint32_t magic = reader.Read<uint32_t>();
     NEO_REQUIRE(magic == 0x454D4254u, "bad embedding table magic");
-    const int64_t rows = reader.Read<int64_t>();
-    const int64_t dim = reader.Read<int64_t>();
-    const uint8_t prec = reader.Read<uint8_t>();
-    EmbeddingTable table(rows, dim,
-                         prec ? Precision::kFp16 : Precision::kFp32);
-    if (prec) {
-        table.data_f16_ =
-            reader.ReadVector<uint16_t, AlignedAllocator<uint16_t>>();
-        NEO_REQUIRE(table.data_f16_.size() ==
-                        static_cast<size_t>(rows) * dim,
-                    "checkpoint size mismatch");
+    SavedView view;
+    view.rows_ = reader.Read<int64_t>();
+    view.dim_ = reader.Read<int64_t>();
+    view.precision_ =
+        reader.Read<uint8_t>() ? Precision::kFp16 : Precision::kFp32;
+    NEO_REQUIRE(view.rows_ > 0 && view.dim_ > 0,
+                "embedding table must be non-empty");
+    uint64_t count = 0;
+    if (view.precision_ == Precision::kFp16) {
+        const VectorView<uint16_t> payload = reader.ViewVector<uint16_t>();
+        count = payload.size;
+        view.bytes_ = payload.bytes;
     } else {
-        table.data_f32_ =
-            reader.ReadVector<float, AlignedAllocator<float>>();
-        NEO_REQUIRE(table.data_f32_.size() ==
-                        static_cast<size_t>(rows) * dim,
-                    "checkpoint size mismatch");
+        const VectorView<float> payload = reader.ViewVector<float>();
+        count = payload.size;
+        view.bytes_ = payload.bytes;
+    }
+    // Divide instead of multiplying: corrupt dimensions must not overflow.
+    NEO_REQUIRE(count % static_cast<uint64_t>(view.dim_) == 0 &&
+                    count / static_cast<uint64_t>(view.dim_) ==
+                        static_cast<uint64_t>(view.rows_),
+                "checkpoint size mismatch");
+    return view;
+}
+
+void
+EmbeddingTable::SavedView::ReadRow(int64_t row, float* out) const
+{
+    NEO_CHECK(row >= 0 && row < rows_, "row index out of range: ", row);
+    const size_t d = static_cast<size_t>(dim_);
+    const size_t base = static_cast<size_t>(row) * d;
+    if (precision_ == Precision::kFp32) {
+        std::memcpy(out, bytes_ + base * sizeof(float), d * sizeof(float));
+        return;
+    }
+    // The saved half bits need not be aligned: copy, then dequantize with
+    // the kernel the loaded table's ReadRow uses.
+    static thread_local AlignedVector<uint16_t> bits;
+    bits.resize(d);
+    std::memcpy(bits.data(), bytes_ + base * sizeof(uint16_t),
+                d * sizeof(uint16_t));
+    kernels::Active().dequant_f16(bits.data(), out, d);
+}
+
+EmbeddingTable
+EmbeddingTable::Load(BinaryReader& reader)
+{
+    const SavedView view = SavedView::Parse(reader);
+    EmbeddingTable table(view.rows_, view.dim_, view.precision_);
+    const size_t count = static_cast<size_t>(view.rows_) * view.dim_;
+    if (view.precision_ == Precision::kFp16) {
+        std::memcpy(table.data_f16_.data(), view.bytes_,
+                    count * sizeof(uint16_t));
+    } else {
+        std::memcpy(table.data_f32_.data(), view.bytes_,
+                    count * sizeof(float));
     }
     return table;
 }

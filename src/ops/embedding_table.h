@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/aligned.h"
@@ -60,6 +61,13 @@ class EmbeddingTable
     /** Copy row `row` into `out[0..dim)`, widening if needed. */
     void ReadRow(int64_t row, float* out) const;
 
+    /**
+     * Copy rows `rows`, widened to fp32, to `out` back to back (rows.size()
+     * x dim floats). `out` needs no alignment: this is how a checkpoint
+     * writes rows straight into stream bytes. Bitwise what ReadRow gives.
+     */
+    void CopyRows(std::span<const int64_t> rows, uint8_t* out) const;
+
     /** Overwrite row `row` from `in[0..dim)`, rounding if needed. */
     void WriteRow(int64_t row, const float* in);
 
@@ -82,8 +90,39 @@ class EmbeddingTable
     /** Serialize parameters (and precision tag). */
     void Save(BinaryWriter& writer) const;
 
+    /** Bytes Save() writes, so writers can size their buffer once. */
+    size_t SavedBytes() const;
+
     /** Deserialize; shape and precision must match the checkpoint. */
     static EmbeddingTable Load(BinaryReader& reader);
+
+    /**
+     * A table as Save() wrote it, read in place: the header and payload
+     * length are validated like Load, but no row is copied until
+     * ReadRow asks for it. Borrows the reader's bytes (valid while they
+     * are), so a restore can pick the rows it needs out of a large saved
+     * shard without materializing the shard.
+     */
+    class SavedView
+    {
+      public:
+        /** Parse one saved table, advancing `reader` past it. */
+        static SavedView Parse(BinaryReader& reader);
+
+        int64_t rows() const { return rows_; }
+        int64_t dim() const { return dim_; }
+
+        /** Copy saved row `row` into `out[0..dim)`, widening if needed
+         *  (bitwise what the loaded table's ReadRow returns). */
+        void ReadRow(int64_t row, float* out) const;
+
+      private:
+        friend class EmbeddingTable;
+        int64_t rows_ = 0;
+        int64_t dim_ = 0;
+        Precision precision_ = Precision::kFp32;
+        const uint8_t* bytes_ = nullptr;
+    };
 
   private:
     int64_t rows_;

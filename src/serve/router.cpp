@@ -225,9 +225,8 @@ FleetRouter::PumpFlights()
                 Response response;
                 response.id = flight.request.id;
                 response.status = ResponseStatus::kFailed;
-                flight.done.set_value(std::move(response));
-                std::lock_guard<std::mutex> tlock(totals_mutex_);
-                totals_.failed++;
+                CountThenComplete(flight, std::move(response),
+                                  totals_.failed);
                 it = flights_.erase(it);
                 continue;
             }
@@ -248,9 +247,8 @@ FleetRouter::PumpFlights()
                 replica = replicas_[flight.replica].get();
             }
             replica->health.RecordLatency(response.total_seconds);
-            flight.done.set_value(std::move(response));
-            std::lock_guard<std::mutex> tlock(totals_mutex_);
-            totals_.completed_ok++;
+            CountThenComplete(flight, std::move(response),
+                              totals_.completed_ok);
             it = flights_.erase(it);
             continue;
         }
@@ -269,9 +267,8 @@ FleetRouter::PumpFlights()
             metrics.GetCounter("neo.fleet.failovers").Add();
             if (flight.attempts >= options_.max_attempts) {
                 response.status = ResponseStatus::kFailed;
-                flight.done.set_value(std::move(response));
-                std::lock_guard<std::mutex> tlock(totals_mutex_);
-                totals_.failed++;
+                CountThenComplete(flight, std::move(response),
+                                  totals_.failed);
                 it = flights_.erase(it);
                 continue;
             }
@@ -287,6 +284,17 @@ FleetRouter::PumpFlights()
         flight.done.set_value(std::move(response));
         it = flights_.erase(it);
     }
+}
+
+void
+FleetRouter::CountThenComplete(Flight& flight, Response response,
+                               uint64_t& counter)
+{
+    {
+        std::lock_guard<std::mutex> lock(totals_mutex_);
+        counter++;
+    }
+    flight.done.set_value(std::move(response));
 }
 
 void

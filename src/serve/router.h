@@ -190,6 +190,13 @@ class FleetRouter
     void PublishLoop();
     /** Reap ready futures; redispatch / complete as their status says. */
     void PumpFlights();
+    /**
+     * Count a terminal outcome in `counter` (a field of totals_), then
+     * fulfil the flight's promise, so a client woken by the promise
+     * always finds its outcome already counted.
+     */
+    void CountThenComplete(Flight& flight, Response response,
+                           uint64_t& counter);
     /** Periodic health maintenance + gauge exposition. */
     void HealthTick();
     /**

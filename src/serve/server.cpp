@@ -486,11 +486,13 @@ Server::RankLoop(int rank, comm::ProcessGroup& pg)
                 engine.Prefetch(slot_.snapshot);
                 pg.Barrier();
                 if (rank == 0) {
-                    active_warm_->promise.set_value(true);
-                    active_warm_.reset();
+                    // Count before completing: the Prewarm caller may
+                    // read the counter as soon as the promise wakes it.
                     obs::MetricsRegistry::Get()
                         .GetCounter("neo.serve.prewarms")
                         .Add();
+                    active_warm_->promise.set_value(true);
+                    active_warm_.reset();
                 }
                 continue;
             }

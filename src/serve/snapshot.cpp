@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
+#include <span>
 #include <utility>
 
 #include "common/logging.h"
@@ -15,50 +15,82 @@ namespace neo::serve {
 namespace {
 
 /**
- * Slice fully-assembled logical tables onto a serving plan. Consumes
- * `logical` (tables are read row-by-row; DP replicas move out wholesale
- * when the plan keeps the table unsharded).
+ * Allocate `snapshot`'s tables for `plan` — one piece per non-DP shard,
+ * in canonical (ShardLess) order, and one full replica per DP table —
+ * and return the read targets that point at them.
  */
-void
-SliceOntoPlan(std::map<int, ops::EmbeddingTable>& logical,
-              const core::DlrmConfig& config,
-              const sharding::ShardingPlan& plan, ModelSnapshot& snapshot)
+std::vector<core::RestoreTarget>
+AllocateOnPlan(const core::DlrmConfig& config,
+               const sharding::ShardingPlan& plan, ModelSnapshot& snapshot)
 {
     std::vector<sharding::Shard> ordered = plan.shards;
     std::stable_sort(ordered.begin(), ordered.end(), core::ShardLess);
-
-    std::vector<float> row_buf;
     for (const auto& shard : ordered) {
         NEO_REQUIRE(shard.table >= 0 &&
                         shard.table <
                             static_cast<int>(config.tables.size()),
                     "serving plan references unknown table ", shard.table);
-        const auto it = logical.find(shard.table);
-        NEO_REQUIRE(it != logical.end(), "snapshot source is missing table ",
-                    shard.table);
-        const ops::EmbeddingTable& full = it->second;
         const auto& cfg = config.tables[shard.table];
-        NEO_REQUIRE(full.rows() == cfg.rows && full.dim() == cfg.dim,
-                    "assembled table shape mismatch for table ",
-                    shard.table);
-
         if (shard.scheme == sharding::Scheme::kDataParallel) {
-            snapshot.dp_tables.emplace_back(shard.table, full);
+            snapshot.dp_tables.emplace_back(
+                shard.table,
+                ops::EmbeddingTable(cfg.rows, cfg.dim, cfg.precision));
+        } else {
+            snapshot.shards.emplace_back(
+                shard, ops::EmbeddingTable(shard.NumRows(), shard.NumCols(),
+                                           cfg.precision));
+        }
+    }
+    std::vector<core::RestoreTarget> targets;
+    for (auto& piece : snapshot.shards) {
+        targets.push_back({piece.meta.table, piece.meta.row_begin,
+                           piece.meta.row_end, piece.meta.col_begin,
+                           piece.meta.col_end, &piece.table, nullptr});
+    }
+    for (auto& dp : snapshot.dp_tables) {
+        targets.push_back({dp.table, 0, dp.replica.rows(), 0,
+                           dp.replica.dim(), &dp.replica, nullptr});
+    }
+    return targets;
+}
+
+/**
+ * Copy a rectangle of logical table `table` — rows from `row_begin`,
+ * columns from `col_begin`, `source.rows()` x `source.dim()` — into
+ * every target it overlaps. `source` is an EmbeddingTable or a saved
+ * table read in place. A target row the rectangle covers only partly
+ * (column-wise pieces) is read, patched and written back.
+ */
+template <typename Source>
+void
+PasteOnto(std::span<const core::RestoreTarget> targets, int table,
+          int64_t row_begin, int64_t col_begin, const Source& source)
+{
+    const int64_t row_end = row_begin + source.rows();
+    const int64_t col_end = col_begin + source.dim();
+    std::vector<float> src_row(static_cast<size_t>(source.dim()));
+    std::vector<float> dst_row;
+    for (const core::RestoreTarget& t : targets) {
+        const int64_t r0 = std::max(row_begin, t.row_begin);
+        const int64_t r1 = std::min(row_end, t.row_end);
+        const int64_t c0 = std::max(col_begin, t.col_begin);
+        const int64_t c1 = std::min(col_end, t.col_end);
+        if (t.table != table || r0 >= r1 || c0 >= c1) {
             continue;
         }
-        const int64_t rows = shard.NumRows();
-        const int64_t cols = shard.NumCols();
-        ops::EmbeddingTable piece(rows, cols, cfg.precision);
-        row_buf.resize(static_cast<size_t>(cfg.dim));
-        std::vector<float> piece_row(static_cast<size_t>(cols));
-        for (int64_t r = 0; r < rows; r++) {
-            full.ReadRow(shard.row_begin + r, row_buf.data());
-            std::memcpy(piece_row.data(),
-                        row_buf.data() + shard.col_begin,
-                        static_cast<size_t>(cols) * sizeof(float));
-            piece.WriteRow(r, piece_row.data());
+        const bool whole = c0 == t.col_begin && c1 == t.col_end;
+        dst_row.resize(static_cast<size_t>(t.col_end - t.col_begin));
+        for (int64_t g = r0; g < r1; g++) {
+            source.ReadRow(g - row_begin, src_row.data());
+            const float* src = src_row.data() + (c0 - col_begin);
+            if (!whole) {
+                t.rows->ReadRow(g - t.row_begin, dst_row.data());
+                std::memcpy(dst_row.data() + (c0 - t.col_begin), src,
+                            static_cast<size_t>(c1 - c0) * sizeof(float));
+                src = dst_row.data();
+            }
+            t.rows->WriteRow(g - t.row_begin, src);
         }
-        snapshot.shards.emplace_back(shard, std::move(piece));
     }
 }
 
@@ -71,21 +103,16 @@ SnapshotFromStore(const core::CheckpointStore& store,
                   uint64_t version)
 {
     NEO_TRACE_SPAN("snapshot_from_store", "serve");
-    core::AssembledCheckpoint assembled =
-        core::AssembledCheckpoint::FromStore(store, config);
-
     auto snapshot = std::make_shared<ModelSnapshot>();
     snapshot->version = version;
-    snapshot->source_epoch = assembled.epoch;
     snapshot->config = config;
     snapshot->plan = serving_plan;
-    snapshot->dense_blob = std::move(assembled.dense_blob);
-
-    std::map<int, ops::EmbeddingTable> logical;
-    for (auto& [table, entry] : assembled.tables) {
-        logical.emplace(table, std::move(entry.table));
-    }
-    SliceOntoPlan(logical, config, serving_plan, *snapshot);
+    const std::vector<core::RestoreTarget> targets =
+        AllocateOnPlan(config, serving_plan, *snapshot);
+    core::CheckpointContents contents =
+        core::ReadCheckpoint(store, config, targets);
+    snapshot->source_epoch = contents.epoch;
+    snapshot->dense_blob = std::move(contents.dense_blob);
     return snapshot;
 }
 
@@ -113,20 +140,25 @@ SnapshotFromTrainer(core::DistributedDlrm& trainer,
         shard.table.Save(writer);
     }
     std::vector<std::vector<uint8_t>> send(static_cast<size_t>(world));
-    send[0] = writer.buffer();
+    send[0] = writer.Take();
     std::vector<std::vector<uint8_t>> recv;
     pg.AllToAllBytes(send, recv);
     if (pg.Rank() != 0) {
         return nullptr;
     }
 
-    // Rank 0: assemble logical tables from every rank's shards (CW
-    // shards land via read-modify-write of the full-width row).
-    std::map<int, ops::EmbeddingTable> logical;
-    std::vector<float> row_buf;
-    std::vector<float> piece_row;
+    // Rank 0: paste every rank's shards straight onto the serving plan's
+    // pieces (read in place from the received bytes).
+    auto snapshot = std::make_shared<ModelSnapshot>();
+    snapshot->version = version;
+    snapshot->source_epoch = source_epoch;
+    snapshot->config = config;
+    snapshot->plan = serving_plan;
+    const std::vector<core::RestoreTarget> targets =
+        AllocateOnPlan(config, serving_plan, *snapshot);
     for (int src = 0; src < world; src++) {
-        BinaryReader reader(std::move(recv[static_cast<size_t>(src)]));
+        BinaryReader reader{
+            std::span<const uint8_t>(recv[static_cast<size_t>(src)])};
         const uint64_t num_shards = reader.Read<uint64_t>();
         for (uint64_t s = 0; s < num_shards; s++) {
             const int32_t table = reader.Read<int32_t>();
@@ -143,45 +175,24 @@ SnapshotFromTrainer(core::DistributedDlrm& trainer,
                             row_end <= cfg.rows && col_begin >= 0 &&
                             col_begin <= col_end && col_end <= cfg.dim,
                         "trainer shard geometry out of bounds");
-            ops::EmbeddingTable piece = ops::EmbeddingTable::Load(reader);
+            const ops::EmbeddingTable::SavedView piece =
+                ops::EmbeddingTable::SavedView::Parse(reader);
             NEO_REQUIRE(piece.rows() == row_end - row_begin &&
                             piece.dim() == col_end - col_begin,
                         "trainer shard shape mismatch");
-            auto it = logical.find(table);
-            if (it == logical.end()) {
-                it = logical
-                         .emplace(table,
-                                  ops::EmbeddingTable(cfg.rows, cfg.dim,
-                                                      cfg.precision))
-                         .first;
-            }
-            row_buf.resize(static_cast<size_t>(cfg.dim));
-            piece_row.resize(static_cast<size_t>(piece.dim()));
-            for (int64_t r = 0; r < piece.rows(); r++) {
-                piece.ReadRow(r, piece_row.data());
-                it->second.ReadRow(row_begin + r, row_buf.data());
-                std::memcpy(row_buf.data() + col_begin, piece_row.data(),
-                            piece_row.size() * sizeof(float));
-                it->second.WriteRow(row_begin + r, row_buf.data());
-            }
+            PasteOnto(targets, table, row_begin, col_begin, piece);
         }
     }
     // DP tables are replicated, so rank 0's own copies are the model.
     for (size_t i = 0; i < trainer.NumDpTables(); i++) {
         const auto& dp = trainer.dp_table(i);
-        logical.emplace(dp.table, dp.replica);
+        PasteOnto(targets, dp.table, 0, 0, dp.replica);
     }
 
-    auto snapshot = std::make_shared<ModelSnapshot>();
-    snapshot->version = version;
-    snapshot->source_epoch = source_epoch;
-    snapshot->config = config;
-    snapshot->plan = serving_plan;
     BinaryWriter dense;
     trainer.bottom_mlp().Save(dense);
     trainer.top_mlp().Save(dense);
-    snapshot->dense_blob = dense.buffer();
-    SliceOntoPlan(logical, config, serving_plan, *snapshot);
+    snapshot->dense_blob = dense.Take();
     return snapshot;
 }
 

@@ -69,9 +69,11 @@ struct ModelSnapshot {
 
 /**
  * Build a snapshot from a published checkpoint store (non-collective —
- * any single thread can call, no process group needed). Assembles the
- * store's per-rank streams into logical tables, then slices them onto
- * `serving_plan`, which may differ entirely from the training sharding.
+ * any single thread can call, no process group needed). Allocates the
+ * pieces of `serving_plan`, which may differ entirely from the training
+ * sharding (column slices included), and fills them with
+ * core::ReadCheckpoint, which streams the store's per-rank baselines
+ * and deltas straight into them.
  */
 std::shared_ptr<const ModelSnapshot> SnapshotFromStore(
     const core::CheckpointStore& store, const core::DlrmConfig& config,
@@ -80,9 +82,9 @@ std::shared_ptr<const ModelSnapshot> SnapshotFromStore(
 /**
  * Cut a snapshot from a live trainer without going through a checkpoint
  * (collective on the trainer's process group; every rank must call).
- * Each rank ships its shards to rank 0, which assembles logical tables
- * and slices them onto `serving_plan`. Returns the snapshot on rank 0
- * and nullptr on the other ranks.
+ * Each rank ships its shards to rank 0, which copies each one onto the
+ * `serving_plan` pieces it overlaps. Returns the snapshot on rank 0 and
+ * nullptr on the other ranks.
  */
 std::shared_ptr<const ModelSnapshot> SnapshotFromTrainer(
     core::DistributedDlrm& trainer,

@@ -18,6 +18,7 @@
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
+#include "scoped_temp_dir.h"
 
 namespace neo {
 namespace {
@@ -334,14 +335,14 @@ TEST(Serialize, TruncatedInputThrows)
 
 TEST(Serialize, FileRoundTrip)
 {
-    const std::string path = "/tmp/neo_serialize_test.bin";
+    const neo::testing::ScopedTempDir temp;
+    const std::string path = (temp.path() / "serialize_test.bin").string();
     BinaryWriter writer;
     writer.WriteVector<int64_t>({5, -7, 11});
     writer.SaveToFile(path);
     BinaryReader reader = BinaryReader::LoadFromFile(path);
     EXPECT_EQ(reader.ReadVector<int64_t>(),
               (std::vector<int64_t>{5, -7, 11}));
-    std::remove(path.c_str());
 }
 
 // ----------------------------------------------------------- ThreadPool

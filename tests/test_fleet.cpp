@@ -32,6 +32,7 @@
 #include "serve/health.h"
 #include "serve/router.h"
 #include "serve/server.h"
+#include "scoped_temp_dir.h"
 #include "serve/snapshot.h"
 #include "sharding/planner.h"
 #include "sim/serving_model.h"
@@ -414,11 +415,8 @@ TEST(Fleet, KillOneReplicaMidBatchFailsOver)
     const int workers = 2;
     TrainedVersions trained = TrainVersions(workers, /*versions=*/1);
 
-    const std::string bundle_dir =
-        (std::filesystem::temp_directory_path() / "neo_fleet_bundle")
-            .string();
-    std::filesystem::remove_all(bundle_dir);
-    std::filesystem::create_directories(bundle_dir);
+    const neo::testing::ScopedTempDir temp;
+    const std::string bundle_dir = temp.str();
     obs::FlightRecorder::Get().SetDirectory(bundle_dir);
 
     // Deterministic mid-batch death: replica 1's rank 1 dies inside the
@@ -562,7 +560,6 @@ TEST(Fleet, KillOneReplicaMidBatchFailsOver)
         host->Stop();
     }
     obs::FlightRecorder::Get().SetDirectory("");
-    std::filesystem::remove_all(bundle_dir);
 }
 
 // ---------------------------------------------------------------------

@@ -27,6 +27,7 @@
 #include "serve/engine.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "scoped_temp_dir.h"
 #include "sharding/planner.h"
 
 namespace neo {
@@ -303,10 +304,8 @@ TEST(SnapshotRegistry, VersionsMustIncrease)
 
 TEST(DiskCheckpointStore, RoundTripsAcrossStoreInstances)
 {
-    const std::string dir =
-        (std::filesystem::temp_directory_path() / "neo_serve_store_rt")
-            .string();
-    std::filesystem::remove_all(dir);
+    const neo::testing::ScopedTempDir temp;
+    const std::string dir = temp.str();
 
     DlrmConfig model = core::MakeSmallDlrmConfig(4, 150, 16);
     const int workers = 2;
@@ -365,28 +364,22 @@ TEST(DiskCheckpointStore, RoundTripsAcrossStoreInstances)
     EXPECT_TRUE(Matrix::Identical(source_logits, restored_logits))
         << "max diff "
         << Matrix::MaxAbsDiff(source_logits, restored_logits);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(DiskCheckpointStore, RejectsDeltaBeforeBaseline)
 {
-    const std::string dir =
-        (std::filesystem::temp_directory_path() / "neo_serve_store_err")
-            .string();
-    std::filesystem::remove_all(dir);
+    const neo::testing::ScopedTempDir temp;
+    const std::string dir = temp.str();
     core::CheckpointStore store(dir);
     EXPECT_THROW(store.AppendDelta(0, {1, 2, 3}), std::exception);
     EXPECT_THROW(store.Baseline(0), std::exception);
     EXPECT_TRUE(store.Ranks().empty());
-    std::filesystem::remove_all(dir);
 }
 
 TEST(DiskCheckpointStore, RejectsCorruptedBaseline)
 {
-    const std::string dir =
-        (std::filesystem::temp_directory_path() / "neo_serve_store_bad")
-            .string();
-    std::filesystem::remove_all(dir);
+    const neo::testing::ScopedTempDir temp;
+    const std::string dir = temp.str();
     DlrmConfig model = core::MakeSmallDlrmConfig(2, 40, 16);
     const sharding::ShardingPlan plan = MakePlan(model, 1);
     {
@@ -403,9 +396,8 @@ TEST(DiskCheckpointStore, RejectsCorruptedBaseline)
     ASSERT_GT(full_size, 64u);
     std::filesystem::resize_file(path, full_size / 2);
     core::CheckpointStore reopened(dir);
-    EXPECT_THROW(core::AssembledCheckpoint::FromStore(reopened, model),
+    EXPECT_THROW(serve::SnapshotFromStore(reopened, model, plan, 1),
                  std::exception);
-    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------
@@ -468,10 +460,8 @@ TEST(Snapshot, FromTrainerServesBitwiseTrainerScores)
  *  bitwise (table-wise pooling order is world-size invariant). */
 TEST(Snapshot, FromStoreServesAcrossPlanChange)
 {
-    const std::string dir =
-        (std::filesystem::temp_directory_path() / "neo_serve_snap_store")
-            .string();
-    std::filesystem::remove_all(dir);
+    const neo::testing::ScopedTempDir temp;
+    const std::string dir = temp.str();
 
     DlrmConfig model = core::MakeSmallDlrmConfig(4, 150, 16);
     const int train_workers = 2;
@@ -527,7 +517,6 @@ TEST(Snapshot, FromStoreServesAcrossPlanChange)
     for (size_t b = 0; b < global_batch; b++) {
         EXPECT_EQ(served[b], trainer_logits(b, 0)) << "sample " << b;
     }
-    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------
