@@ -11,6 +11,7 @@
  */
 #include <cstdio>
 
+#include "cache/cached_embedding_store.h"
 #include "cache/tiered_embedding_bag.h"
 #include "common/units.h"
 #include "data/reader_tier.h"
@@ -41,8 +42,8 @@ main()
     cache::MemoryTier hbm(cache::Tier::kHbm, 4e6, 850e9);   // 4 MB "HBM"
     cache::MemoryTier ddr(cache::Tier::kDdr, 1e12, 13e9);
     // 1024 slots x 32 B rows = 128 KB cache over a 25.6 MB table.
-    cache::CachedRowStore store(cache::CachedEmbeddingStore(
-        std::move(backing), {32, 32}, &hbm, &ddr));
+    cache::CachedEmbeddingStore store(std::move(backing), {32, 32}, &hbm,
+                                      &ddr);
     cache::TieredEmbeddingBag embeddings(&store, sparse_config);
 
     // Fixed sum-pooling readout: the embedding rows learn the per-row
@@ -112,14 +113,14 @@ main()
         if (step % 300 == 0) {
             std::printf("%-8d %-10.4f %-12.1f %-12s\n", step,
                         window_ne.Value(),
-                        store.store().stats().HitRate() * 100.0,
+                        store.stats().HitRate() * 100.0,
                         FormatBytes(static_cast<double>(
                             ddr.total_bytes())).c_str());
             window_ne = NormalizedEntropy();
         }
     }
 
-    store.store().Flush();
+    store.Flush();
     std::printf("\nreaders produced %lu batches; dirty rows flushed to "
                 "backing store.\n",
                 static_cast<unsigned long>(readers.batches_produced()));

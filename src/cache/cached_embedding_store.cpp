@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "kernels/kernels.h"
 
 namespace neo::cache {
 
@@ -57,17 +56,6 @@ CachedEmbeddingStore::ReadRow(int64_t row, float* out)
     const float* src = SlotData(slot);
     std::memcpy(out, src, static_cast<size_t>(backing_.dim()) *
                               sizeof(float));
-    hbm_->RecordRead(RowBytes());
-}
-
-void
-CachedEmbeddingStore::AccumulateRow(int64_t row, float weight, float* out)
-{
-    const uint64_t slot = EnsureResident(row);
-    // Same separately-rounded axpy chain as EmbeddingTable::AccumulateRow,
-    // so cached and uncached reads agree bitwise on every dispatch tier.
-    kernels::Active().axpy_f32(weight, SlotData(slot), out,
-                               static_cast<size_t>(backing_.dim()));
     hbm_->RecordRead(RowBytes());
 }
 

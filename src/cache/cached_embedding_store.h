@@ -14,11 +14,12 @@
 #include "cache/memory_tier.h"
 #include "cache/set_associative_cache.h"
 #include "ops/embedding_table.h"
+#include "ops/row_store.h"
 
 namespace neo::cache {
 
 /** Row-granular cached view over an embedding table. */
-class CachedEmbeddingStore
+class CachedEmbeddingStore : public ops::RowStore
 {
   public:
     /**
@@ -32,13 +33,10 @@ class CachedEmbeddingStore
                          MemoryTier* ddr);
 
     /** Read one row through the cache. */
-    void ReadRow(int64_t row, float* out);
+    void ReadRow(int64_t row, float* out) override;
 
     /** Write one row into the cache (write-back, marks dirty). */
-    void WriteRow(int64_t row, const float* in);
-
-    /** Accumulate out[d] += weight * row[d] through the cache. */
-    void AccumulateRow(int64_t row, float weight, float* out);
+    void WriteRow(int64_t row, const float* in) override;
 
     /** Write all dirty rows back to the backing table and clear the cache. */
     void Flush();
@@ -52,8 +50,8 @@ class CachedEmbeddingStore
     /** Backing table; call Flush() first for an up-to-date view. */
     ops::EmbeddingTable& backing() { return backing_; }
 
-    int64_t rows() const { return backing_.rows(); }
-    int64_t dim() const { return backing_.dim(); }
+    int64_t rows() const override { return backing_.rows(); }
+    int64_t dim() const override { return backing_.dim(); }
 
   private:
     /** Ensure the row is resident; returns its slot. */

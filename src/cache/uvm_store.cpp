@@ -76,12 +76,4 @@ UvmPagedStore::WriteRow(int64_t row, const float* in)
     hbm_->RecordWrite(RowBytes());
 }
 
-void
-UvmPagedStore::AccumulateRow(int64_t row, float weight, float* out)
-{
-    TouchPage(row);
-    backing_.AccumulateRow(row, weight, out);
-    hbm_->RecordRead(RowBytes());
-}
-
 }  // namespace neo::cache

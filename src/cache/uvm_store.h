@@ -14,6 +14,7 @@
 
 #include "cache/memory_tier.h"
 #include "ops/embedding_table.h"
+#include "ops/row_store.h"
 
 namespace neo::cache {
 
@@ -32,7 +33,7 @@ struct UvmStats {
 };
 
 /** Page-granular LRU view over an embedding table. */
-class UvmPagedStore
+class UvmPagedStore : public ops::RowStore
 {
   public:
     /**
@@ -48,13 +49,10 @@ class UvmPagedStore
                   MemoryTier* pcie);
 
     /** Read one row, faulting its page in if needed. */
-    void ReadRow(int64_t row, float* out);
+    void ReadRow(int64_t row, float* out) override;
 
     /** Write one row, faulting its page in and marking it dirty. */
-    void WriteRow(int64_t row, const float* in);
-
-    /** Accumulate out[d] += weight * row[d]. */
-    void AccumulateRow(int64_t row, float weight, float* out);
+    void WriteRow(int64_t row, const float* in) override;
 
     const UvmStats& stats() const { return stats_; }
 
@@ -64,8 +62,8 @@ class UvmPagedStore
     /** Max resident pages. */
     size_t MaxResidentPages() const { return max_resident_pages_; }
 
-    int64_t rows() const { return backing_.rows(); }
-    int64_t dim() const { return backing_.dim(); }
+    int64_t rows() const override { return backing_.rows(); }
+    int64_t dim() const override { return backing_.dim(); }
 
   private:
     /** Fault handler: make the page holding `row` resident. */

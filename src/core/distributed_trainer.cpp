@@ -444,19 +444,8 @@ DistributedDlrm::ExchangeGradsAndUpdate(const PreparedInput& prepared,
     std::vector<ops::SparseGradRef> refs;
     for (size_t i = 0; i < shards_.size(); i++) {
         auto& shard = shards_[i];
-        const auto& input = prepared.shard_inputs[i];
-        const auto lens = input.LengthsForTable(0);
-        const auto idx = input.IndicesForTable(0);
-        refs.clear();
-        refs.reserve(idx.size());
-        size_t offset = 0;
-        for (size_t b = 0; b < b_global; b++) {
-            const float* g = shard_grads[i].Row(b);
-            for (uint32_t k = 0; k < lens[b]; k++) {
-                refs.push_back({idx[offset + k], g});
-            }
-            offset += lens[b];
-        }
+        ops::CollectGrads(prepared.shard_inputs[i].InputForTable(0),
+                          b_global, shard_grads[i], refs);
         // Group once: the dirty bits and the undo log cover exactly the
         // rows the update is about to step.
         const std::span<const int64_t> rows =

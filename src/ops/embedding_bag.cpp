@@ -85,6 +85,26 @@ PoolBags(std::span<const PoolJob> jobs)
     });
 }
 
+void
+CollectGrads(const TableInput& input, size_t batch, const Matrix& grad,
+             std::vector<SparseGradRef>& refs)
+{
+    NEO_REQUIRE(input.lengths.size() == batch, "lengths size mismatch");
+    NEO_REQUIRE(grad.rows() == batch, "grad batch mismatch");
+    refs.clear();
+    refs.reserve(input.indices.size());
+    size_t offset = 0;
+    for (size_t b = 0; b < batch; b++) {
+        const float* g = grad.Row(b);
+        const uint32_t len = input.lengths[b];
+        for (uint32_t i = 0; i < len; i++) {
+            refs.push_back({input.indices[offset + i], g});
+        }
+        offset += len;
+    }
+    NEO_CHECK(offset == input.indices.size(), "indices/lengths mismatch");
+}
+
 uint64_t
 EmbeddingBagCollection::TableSeed(uint64_t base_seed, size_t table)
 {
@@ -123,27 +143,6 @@ EmbeddingBagCollection::Forward(std::span<const TableInput> inputs,
         jobs.push_back({&tables_[t], inputs[t], &outputs[t]});
     }
     PoolBags(jobs);
-}
-
-void
-EmbeddingBagCollection::CollectGrads(const TableInput& input, size_t batch,
-                                     const Matrix& grad,
-                                     std::vector<SparseGradRef>& refs) const
-{
-    NEO_REQUIRE(input.lengths.size() == batch, "lengths size mismatch");
-    NEO_REQUIRE(grad.rows() == batch, "grad batch mismatch");
-    refs.clear();
-    refs.reserve(input.indices.size());
-    size_t offset = 0;
-    for (size_t b = 0; b < batch; b++) {
-        const float* g = grad.Row(b);
-        const uint32_t len = input.lengths[b];
-        for (uint32_t i = 0; i < len; i++) {
-            refs.push_back({input.indices[offset + i], g});
-        }
-        offset += len;
-    }
-    NEO_CHECK(offset == input.indices.size(), "indices/lengths mismatch");
 }
 
 void

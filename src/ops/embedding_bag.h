@@ -50,6 +50,14 @@ struct PoolJob {
  */
 void PoolBags(std::span<const PoolJob> jobs);
 
+/**
+ * The per-occurrence gradients of one table's sum-pooled lookup over
+ * `batch` samples: every index occurrence of sample b gets grad.Row(b),
+ * in occurrence order. `refs` is overwritten and points into `grad`.
+ */
+void CollectGrads(const TableInput& input, size_t batch, const Matrix& grad,
+                  std::vector<SparseGradRef>& refs);
+
 /** Shape/precision spec for one table in a collection. */
 struct TableSpec {
     int64_t rows = 0;
@@ -118,11 +126,6 @@ class EmbeddingBagCollection
     void Load(BinaryReader& reader);
 
   private:
-    /** Collect SparseGradRefs for one table's input. */
-    void CollectGrads(const TableInput& input, size_t batch,
-                      const Matrix& grad,
-                      std::vector<SparseGradRef>& refs) const;
-
     std::vector<EmbeddingTable> tables_;
     std::vector<SparseOptimizer> optimizers_;
 };

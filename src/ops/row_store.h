@@ -6,6 +6,11 @@
  * hierarchical-memory training mode of Sec. 4.1.3 (used e.g. for online
  * training on fewer nodes).
  *
+ * A store only reads and writes whole rows. The pooled lookup and the
+ * exact update run over it unchanged: StageRows copies a batch's distinct
+ * rows out once for PoolBags, and SparseOptimizer::ApplyGrouped(RowStore&)
+ * steps each unique row with one read and one write.
+ *
  * Alignment contract: implementations back rows with 64-byte-aligned
  * storage (AlignedVector; see common/aligned.h) so the SIMD microkernels
  * in src/kernels always see cache-line-aligned gather sources. The
@@ -14,6 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "ops/embedding_table.h"
 
@@ -33,9 +40,6 @@ class RowStore
 
     /** Overwrite row `row` from in[0..dim). */
     virtual void WriteRow(int64_t row, const float* in) = 0;
-
-    /** Accumulate out[d] += weight * row[d]. */
-    virtual void AccumulateRow(int64_t row, float weight, float* out) = 0;
 };
 
 /** RowStore over a plain in-memory EmbeddingTable. */
@@ -62,16 +66,41 @@ class PlainRowStore : public RowStore
         table_.WriteRow(row, in);
     }
 
-    void
-    AccumulateRow(int64_t row, float weight, float* out) override
-    {
-        table_.AccumulateRow(row, weight, out);
-    }
-
     EmbeddingTable& table() { return table_; }
 
   private:
     EmbeddingTable table_;
 };
+
+/**
+ * A batch's rows staged out of a RowStore for the fused pooled lookup:
+ * table row k holds store row rows[k], and indices[i] is the staged row of
+ * the batch's i-th index. Reused across batches.
+ */
+struct StagedRows {
+    /** @param dim The store's row width. */
+    explicit StagedRows(int64_t dim) : table(1, dim) {}
+
+    /** The batch's distinct store rows, ascending. */
+    std::vector<int64_t> rows;
+    /** fp32 copies of those rows; grows to the largest batch, never
+     *  shrinks. */
+    EmbeddingTable table;
+    /** The batch's indices, remapped into `table`. */
+    std::vector<int64_t> indices;
+};
+
+/**
+ * Stage `indices` for PoolBags: read each distinct row they name through
+ * `store` exactly once, in order of first occurrence, into `staged.table`,
+ * and remap the indices onto it. Pooling (staged.table, staged.indices) is
+ * then bitwise pooling the store's rows directly, because a store's ReadRow
+ * widens exactly as EmbeddingTable::PoolRows does. The rows are copied, not
+ * pointed into a cache's slots: one batch can name more distinct rows of a
+ * cache set than the set has ways. Throws std::runtime_error on an index
+ * outside the store.
+ */
+void StageRows(RowStore& store, std::span<const int64_t> indices,
+               StagedRows& staged);
 
 }  // namespace neo::ops

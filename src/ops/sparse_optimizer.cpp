@@ -225,15 +225,11 @@ SparseOptimizer::RowMoment(int64_t row) const
 }
 
 void
-SparseOptimizer::UpdateRow(EmbeddingTable& table, int64_t row,
-                           const float* g, float* row_buf)
+SparseOptimizer::StepRow(int64_t row, const float* g, float* w)
 {
     const float lr = config_.learning_rate;
     const float eps = config_.eps;
     const size_t d = static_cast<size_t>(dim_);
-    table.ReadRow(row, row_buf);
-    float* w = row_buf;
-
     const kernels::KernelTable& kt = kernels::Active();
     switch (config_.kind) {
       case SparseOptimizerKind::kSgd: {
@@ -278,7 +274,6 @@ SparseOptimizer::UpdateRow(EmbeddingTable& table, int64_t row,
         break;
       }
     }
-    table.WriteRow(row, row_buf);
 }
 
 void
@@ -299,6 +294,29 @@ SparseOptimizer::GroupByRow(std::span<const SparseGradRef> grads)
     return grouping_.rows();
 }
 
+template <typename Rows>
+void
+SparseOptimizer::ApplyGroups(Rows& rows, size_t g0, size_t g1)
+{
+    const size_t d = static_cast<size_t>(dim_);
+    const std::span<const int64_t> ids = grouping_.rows();
+    static obs::Counter& update_calls =
+        obs::MetricsRegistry::Get().GetCounter(
+            "neo.kernels.sparse_update_calls");
+    update_calls.Add(g1 - g0);
+    // Per-thread scratch: the merged gradient, then the widened row.
+    static thread_local AlignedVector<float> scratch;
+    scratch.resize(2 * d);
+    float* merged = scratch.data();
+    float* row_buf = scratch.data() + d;
+    for (size_t g = g0; g < g1; g++) {
+        grouping_.MergeGroup(g, d, merged);
+        rows.ReadRow(ids[g], row_buf);
+        StepRow(ids[g], merged, row_buf);
+        rows.WriteRow(ids[g], row_buf);
+    }
+}
+
 void
 SparseOptimizer::ApplyGrouped(EmbeddingTable& table)
 {
@@ -308,23 +326,17 @@ SparseOptimizer::ApplyGrouped(EmbeddingTable& table)
     // Apply groups in parallel: each group owns one table row and its
     // optimizer state, groups are disjoint, and the per-group merge order
     // is canonical — bit-identical at any thread count.
-    const size_t d = static_cast<size_t>(dim_);
-    const std::span<const int64_t> rows = grouping_.rows();
-    static obs::Counter& update_calls =
-        obs::MetricsRegistry::Get().GetCounter(
-            "neo.kernels.sparse_update_calls");
-    update_calls.Add(rows.size());
-    ParallelFor(0, rows.size(), kExactGroupGrain, [&](size_t g0, size_t g1) {
-        // Per-thread scratch: the merged gradient, then the widened row.
-        static thread_local AlignedVector<float> scratch;
-        scratch.resize(2 * d);
-        float* merged = scratch.data();
-        float* row_buf = scratch.data() + d;
-        for (size_t g = g0; g < g1; g++) {
-            grouping_.MergeGroup(g, d, merged);
-            UpdateRow(table, rows[g], merged, row_buf);
-        }
-    });
+    ParallelFor(0, grouping_.rows().size(), kExactGroupGrain,
+                [&](size_t g0, size_t g1) { ApplyGroups(table, g0, g1); });
+}
+
+void
+SparseOptimizer::ApplyGrouped(RowStore& store)
+{
+    NEO_TRACE_SPAN("sparse_apply_exact", "emb_bwd");
+    NEO_REQUIRE(store.rows() == rows_ && store.dim() == dim_,
+                "optimizer/store shape mismatch");
+    ApplyGroups(store, 0, grouping_.rows().size());
 }
 
 void
@@ -337,7 +349,9 @@ SparseOptimizer::ApplyNaive(EmbeddingTable& table,
     for (const auto& ref : grads) {
         NEO_CHECK(ref.row >= 0 && ref.row < rows_,
                   "gradient row out of range");
-        UpdateRow(table, ref.row, ref.grad, row_buf_.data());
+        table.ReadRow(ref.row, row_buf_.data());
+        StepRow(ref.row, ref.grad, row_buf_.data());
+        table.WriteRow(ref.row, row_buf_.data());
     }
 }
 

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "ops/embedding_table.h"
+#include "ops/row_store.h"
 
 namespace neo::ops {
 
@@ -65,8 +66,7 @@ struct SparseGradRef {
 
 /**
  * The occurrences of one sparse update grouped by row id: the single
- * grouping that the exact update, its step's undo log and the tiered
- * (cached) update share.
+ * grouping that the exact update and its step's undo log share.
  *
  * Build() runs a stable LSD radix sort of occurrence positions keyed by
  * row id. The digit width comes from the table's row count: ceil(log2
@@ -150,6 +150,15 @@ class SparseOptimizer
     void ApplyGrouped(EmbeddingTable& table);
 
     /**
+     * ApplyGrouped through a RowStore (a cache or UVM-paged table): the
+     * same groups, canonical merges and per-row step, with one ReadRow and
+     * one WriteRow per unique row, run serially in ascending row order
+     * because a store's residency state is not thread-safe. Bitwise the
+     * parallel table path for a lossless store.
+     */
+    void ApplyGrouped(RowStore& store);
+
+    /**
      * Naive update: apply one optimizer step per occurrence in the given
      * order. Order-dependent for nonlinear optimizers; kept for ablation.
      */
@@ -181,11 +190,18 @@ class SparseOptimizer
 
   private:
     /**
-     * Apply one merged-gradient step to a single row. `row_buf` is a
-     * dim-sized scratch for the widened row (per-thread in parallel use).
+     * Apply groups [g0, g1) of the last GroupByRow: merge each, read its
+     * row from `rows` (an EmbeddingTable or a RowStore), step it and write
+     * it back.
      */
-    void UpdateRow(EmbeddingTable& table, int64_t row,
-                   const float* merged_grad, float* row_buf);
+    template <typename Rows>
+    void ApplyGroups(Rows& rows, size_t g0, size_t g1);
+
+    /**
+     * One optimizer step of row `row`, whose widened values `w` are
+     * updated in place, by the merged gradient `g`.
+     */
+    void StepRow(int64_t row, const float* g, float* w);
 
     SparseOptimizerConfig config_;
     int64_t rows_;

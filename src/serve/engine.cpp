@@ -7,17 +7,16 @@
 #include "common/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ops/embedding_bag.h"
 
 namespace neo::serve {
 
-InferenceEngine::Tiered::Tiered(const EngineOptions& options,
+InferenceEngine::Tiered::Tiered(const cache::CacheConfig& config,
                                 const ops::EmbeddingTable& table)
-    : hbm(cache::Tier::kHbm, options.hbm_capacity_bytes,
-          options.hbm_bandwidth),
-      ddr(cache::Tier::kDdr, options.ddr_capacity_bytes,
-          options.ddr_bandwidth),
-      rows(cache::CachedEmbeddingStore(table, options.cache, &hbm, &ddr)),
-      bag(&rows, ops::SparseOptimizerConfig{})
+    : hbm(cache::Tier::kHbm, 32e6, 850e9),
+      ddr(cache::Tier::kDdr, 1e9, 16e9),
+      store(table, config, &hbm, &ddr),
+      staged(table.dim())
 {
 }
 
@@ -61,7 +60,7 @@ InferenceEngine::BuildVersionState(
                           shard.table.ParameterBytes() >=
                               options_.ddr_threshold_bytes;
         state->tiered.push_back(
-            tier ? std::make_unique<Tiered>(options_, shard.table)
+            tier ? std::make_unique<Tiered>(options_.cache, shard.table)
                  : nullptr);
     }
     NEO_CHECK(state->local_shards.size() ==
@@ -139,54 +138,40 @@ InferenceEngine::Forward(
 
     const auto shard_inputs = st.router->RouteInput(local_sparse, b_local);
 
-    // Local pooled lookups (read-only; tiered shards go through the
-    // cache, which is lossless and so bitwise identical to direct).
+    // Local pooled lookups: read-only, all shards in one fused call.
+    // Tiered shards first read their distinct rows through the cache,
+    // which is lossless and so bitwise identical to direct.
     std::vector<Matrix> shard_pooled(st.local_shards.size());
     std::vector<Matrix> pooled;
     {
         NEO_TRACE_SPAN("serve_emb_forward", "emb_fwd");
+        std::vector<ops::PoolJob> jobs;
         for (size_t i = 0; i < st.local_shards.size(); i++) {
-            const auto& shard = *st.local_shards[i];
-            const size_t d = static_cast<size_t>(shard.meta.NumCols());
-            const auto& input = shard_inputs[i];
-            NEO_CHECK(input.batch == b_global,
+            NEO_CHECK(shard_inputs[i].batch == b_global,
                       "shard input batch mismatch");
-            Matrix& out = shard_pooled[i];
-            if (st.tiered[i]) {
-                st.tiered[i]->bag.Forward(input.InputForTable(0), b_global,
-                                          out);
-                continue;
+            ops::PoolJob job{&st.local_shards[i]->table,
+                             shard_inputs[i].InputForTable(0),
+                             &shard_pooled[i]};
+            if (Tiered* tiered = st.tiered[i].get()) {
+                ops::StageRows(tiered->store, job.input.indices,
+                               tiered->staged);
+                job.table = &tiered->staged.table;
+                job.input.indices = tiered->staged.indices;
             }
-            out = Matrix(b_global, d);
-            const auto lens = input.LengthsForTable(0);
-            const auto idx = input.IndicesForTable(0);
-            size_t offset = 0;
-            for (size_t b = 0; b < b_global; b++) {
-                float* row = out.Row(b);
-                for (uint32_t k = 0; k < lens[b]; k++) {
-                    shard.table.AccumulateRow(idx[offset + k], 1.0f, row);
-                }
-                offset += lens[b];
-            }
+            jobs.push_back(job);
         }
+        ops::PoolBags(jobs);
         st.router->ExchangePooled(shard_pooled, b_local,
                                   options_.forward_alltoall, pooled);
 
         // Replicated DP tables pool the local slice directly.
+        jobs.clear();
         for (const auto& dp : st.snapshot->dp_tables) {
-            Matrix& out = pooled[static_cast<size_t>(dp.table)];
-            const auto input = local_sparse.InputForTable(
-                static_cast<size_t>(dp.table));
-            size_t offset = 0;
-            for (size_t b = 0; b < b_local; b++) {
-                float* row = out.Row(b);
-                for (uint32_t k = 0; k < input.lengths[b]; k++) {
-                    dp.replica.AccumulateRow(input.indices[offset + k],
-                                             1.0f, row);
-                }
-                offset += input.lengths[b];
-            }
+            const size_t t = static_cast<size_t>(dp.table);
+            jobs.push_back(
+                {&dp.replica, local_sparse.InputForTable(t), &pooled[t]});
         }
+        ops::PoolBags(jobs);
     }
 
     Matrix logits;
@@ -215,7 +200,7 @@ InferenceEngine::CacheHitRate() const
     uint64_t misses = 0;
     for (const auto& tiered : state_->tiered) {
         if (tiered) {
-            const auto& stats = tiered->rows.store().stats();
+            const auto& stats = tiered->store.stats();
             hits += stats.hits;
             misses += stats.misses;
         }

@@ -9,20 +9,22 @@
  * read via const row accessors, so all ranks share them race-free.
  *
  * Tables whose shard exceeds `ddr_threshold_bytes` are served through
- * the tiered cache path (cache::TieredEmbeddingBag over a
- * CachedEmbeddingStore copy) — the DDR-resident serving story of
- * Sec. 4.1.3 — which is bitwise identical to direct lookup because the
- * cache is lossless.
+ * the tiered cache path (a CachedEmbeddingStore copy) — the DDR-resident
+ * serving story of Sec. 4.1.3: each batch's distinct rows are read
+ * through the cache once (ops::StageRows), then every shard, direct or
+ * tiered, pools in one ops::PoolBags call. Bitwise identical to direct
+ * lookup because the cache is lossless.
  */
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "cache/tiered_embedding_bag.h"
+#include "cache/cached_embedding_store.h"
 #include "comm/process_group.h"
 #include "core/shard_router.h"
 #include "ops/mlp.h"
+#include "ops/row_store.h"
 #include "serve/snapshot.h"
 #include "tensor/interaction.h"
 
@@ -39,12 +41,6 @@ struct EngineOptions {
     size_t ddr_threshold_bytes = 0;
     /** Cache geometry for tiered shards. */
     cache::CacheConfig cache;
-    /** Modeled HBM capacity/bandwidth for tier accounting. */
-    double hbm_capacity_bytes = 32e6;
-    double hbm_bandwidth = 850e9;
-    /** Modeled DDR-over-PCIe capacity/bandwidth for tier accounting. */
-    double ddr_capacity_bytes = 1e9;
-    double ddr_bandwidth = 16e9;
 };
 
 /** Per-rank forward-only executor. */
@@ -78,18 +74,21 @@ class InferenceEngine
     void Prefetch(const std::shared_ptr<const ModelSnapshot>& snapshot);
 
     /** Aggregate tiered-cache hit rate across local shards ([0,1];
-     *  0 when no shard is tiered). */
+     *  0 when no shard is tiered). A batch reads each distinct row of a
+     *  tiered shard once, so repeats within a batch count once. */
     double CacheHitRate() const;
 
   private:
     /** Tiered serving state for one DDR-resident shard. Heap-pinned:
      *  the store holds pointers to the tiers. */
     struct Tiered {
+        /** The store charges traffic to these; nothing reads it. */
         cache::MemoryTier hbm;
         cache::MemoryTier ddr;
-        cache::CachedRowStore rows;
-        cache::TieredEmbeddingBag bag;
-        Tiered(const EngineOptions& options,
+        cache::CachedEmbeddingStore store;
+        /** The current batch's rows, read through the cache. */
+        ops::StagedRows staged;
+        Tiered(const cache::CacheConfig& config,
                const ops::EmbeddingTable& table);
     };
 

@@ -209,6 +209,12 @@ Server::CompleteBatch(std::vector<Pending>& batch,
                            : 0.8 * prev + 0.2 * batch_seconds;
     } while (!ewma_batch_seconds_.compare_exchange_weak(
         prev, next, std::memory_order_relaxed));
+    // Account before completing, like the EWMA: a client holding its
+    // response always finds its batch counted.
+    metrics.GetCounter("neo.serve.batches").Add();
+    metrics.GetHistogram("neo.serve.batch_seconds").Observe(batch_seconds);
+    metrics.GetHistogram("neo.serve.batch_size")
+        .Observe(static_cast<double>(batch.size()));
     for (size_t i = 0; i < batch.size(); i++) {
         Response response;
         response.id = batch[i].request.id;
@@ -224,15 +230,14 @@ Server::CompleteBatch(std::vector<Pending>& batch,
             .Observe(response.total_seconds);
         batch[i].promise.set_value(std::move(response));
     }
-    metrics.GetCounter("neo.serve.batches").Add();
-    metrics.GetHistogram("neo.serve.batch_seconds").Observe(batch_seconds);
-    metrics.GetHistogram("neo.serve.batch_size")
-        .Observe(static_cast<double>(batch.size()));
 
     // Per-version gauges for the scrape plane: a router watching the
     // exposition can see each model version's throughput and tails and
     // decide when a freshly-published version has warmed up. Only the
     // rank-0 loop thread runs here, so version_stats_ needs no lock.
+    // Set after completing: the percentiles copy and sort up to
+    // kVersionLatencyWindow latencies twice, which would otherwise delay
+    // every response.
     VersionStats* stats = nullptr;
     for (auto& vs : version_stats_) {
         if (vs.version == version) {

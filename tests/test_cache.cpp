@@ -322,6 +322,8 @@ TEST(MemoryTier, TrafficAccounting)
 
 // ------------------------------------------------- TieredEmbeddingBag
 
+#include <set>
+
 #include "cache/tiered_embedding_bag.h"
 
 namespace neo::cache {
@@ -409,8 +411,8 @@ TEST(TieredEmbeddingBag, CachedStoreIsTransparentAfterFlush)
     MemoryTier hbm(Tier::kHbm, 1e9, 850e9);
     MemoryTier ddr(Tier::kDdr, 1e12, 13e9);
     // Cache much smaller than the table: lots of eviction traffic.
-    CachedRowStore cached_store(CachedEmbeddingStore(
-        std::move(backing), {2, 32}, &hbm, &ddr));
+    CachedEmbeddingStore cached_store(std::move(backing), {2, 32}, &hbm,
+                                      &ddr);
     TieredEmbeddingBag cached_bag(&cached_store, config);
 
     Matrix out_plain, out_cached;
@@ -427,10 +429,10 @@ TEST(TieredEmbeddingBag, CachedStoreIsTransparentAfterFlush)
         ASSERT_TRUE(Matrix::Identical(out_plain, out_cached)) << step;
     }
     // After flushing dirty rows, the backing equals the plain table.
-    cached_store.store().Flush();
-    EXPECT_TRUE(ops::EmbeddingTable::Identical(
-        plain_store.table(), cached_store.store().backing()));
-    EXPECT_GT(cached_store.store().stats().dirty_writebacks, 0u);
+    cached_store.Flush();
+    EXPECT_TRUE(ops::EmbeddingTable::Identical(plain_store.table(),
+                                               cached_store.backing()));
+    EXPECT_GT(cached_store.stats().dirty_writebacks, 0u);
 }
 
 TEST(TieredEmbeddingBag, UvmStoreTrainsEquivalently)
@@ -450,8 +452,7 @@ TEST(TieredEmbeddingBag, UvmStoreTrainsEquivalently)
     backing.InitDeterministic(2, 0, 0, dim);
     MemoryTier hbm(Tier::kHbm, 1e9, 850e9);
     MemoryTier pcie(Tier::kDdr, 1e12, 13e9);
-    UvmRowStore uvm_store(UvmPagedStore(std::move(backing), 256,
-                                        4 * 256, &hbm, &pcie));
+    UvmPagedStore uvm_store(std::move(backing), 256, 4 * 256, &hbm, &pcie);
     TieredEmbeddingBag uvm_bag(&uvm_store, config);
 
     Matrix out_plain, out_uvm;
@@ -465,16 +466,87 @@ TEST(TieredEmbeddingBag, UvmStoreTrainsEquivalently)
                                   data.grads);
         ASSERT_TRUE(Matrix::Identical(out_plain, out_uvm)) << step;
     }
-    EXPECT_GT(uvm_store.store().stats().page_faults, 0u);
+    EXPECT_GT(uvm_store.stats().page_faults, 0u);
 }
 
-TEST(TieredEmbeddingBag, RejectsUnsupportedOptimizer)
+/** The bag runs SparseOptimizer itself, so every optimizer kind trains
+ *  through a small cache exactly as EmbeddingBagCollection trains in
+ *  memory. */
+TEST(TieredEmbeddingBag, EveryOptimizerThroughCacheMatchesEmbeddingBag)
 {
-    ops::EmbeddingTable table(10, 4);
-    ops::PlainRowStore store(std::move(table));
+    const int64_t rows = 300, dim = 16;
+    const int steps = 5;
+    std::vector<TieredFixtureData> data;
+    for (int step = 0; step < steps; step++) {
+        data.push_back(MakeTieredInputs(rows, dim, 11 + step));
+    }
+    for (const auto kind : {ops::SparseOptimizerKind::kSgd,
+                            ops::SparseOptimizerKind::kAdaGrad,
+                            ops::SparseOptimizerKind::kRowWiseAdaGrad,
+                            ops::SparseOptimizerKind::kAdam}) {
+        SCOPED_TRACE(ops::SparseOptimizerKindName(kind));
+        ops::SparseOptimizerConfig config;
+        config.kind = kind;
+        config.learning_rate = 0.05f;
+        ops::EmbeddingBagCollection ebc({{rows, dim, Precision::kFp32}},
+                                        config, 9);
+
+        ops::EmbeddingTable backing(rows, dim);
+        backing.InitDeterministic(
+            ops::EmbeddingBagCollection::TableSeed(9, 0), 0, 0, dim);
+        MemoryTier hbm(Tier::kHbm, 1e9, 850e9);
+        MemoryTier ddr(Tier::kDdr, 1e12, 13e9);
+        // 2 sets x 32 ways = 64 slots for 300 rows: the steps evict.
+        CachedEmbeddingStore store(std::move(backing), {2, 32}, &hbm, &ddr);
+        TieredEmbeddingBag bag(&store, config);
+
+        std::vector<Matrix> ref_out;
+        Matrix tiered_out;
+        for (const TieredFixtureData& d : data) {
+            const std::vector<ops::TableInput> inputs = {
+                {d.lengths, d.indices}};
+            ebc.Forward(inputs, d.batch, ref_out);
+            bag.Forward(inputs[0], d.batch, tiered_out);
+            ASSERT_TRUE(Matrix::Identical(ref_out[0], tiered_out));
+            ebc.BackwardAndUpdate(inputs, d.batch, {d.grads});
+            bag.BackwardAndUpdate(inputs[0], d.batch, d.grads);
+        }
+        store.Flush();
+        EXPECT_TRUE(
+            ops::EmbeddingTable::Identical(ebc.table(0), store.backing()));
+        EXPECT_GT(store.stats().evictions, 0u);
+    }
+}
+
+/** The forward resolves a batch's distinct rows through the cache once,
+ *  into a copy: repeats within the batch are not re-read, and a batch may
+ *  name more rows of one set than the set has ways. */
+TEST(TieredEmbeddingBag, ForwardReadsEachDistinctRowOnce)
+{
+    const int64_t rows = 400, dim = 8;
+    const TieredFixtureData data = MakeTieredInputs(rows, dim, 5);
+    const std::set<int64_t> distinct(data.indices.begin(),
+                                     data.indices.end());
+    ASSERT_LT(distinct.size(), data.indices.size()) << "no repeated rows";
+    ASSERT_GT(distinct.size(), 4u);
     ops::SparseOptimizerConfig config;
-    config.kind = ops::SparseOptimizerKind::kAdam;
-    EXPECT_THROW(TieredEmbeddingBag(&store, config), std::runtime_error);
+
+    ops::EmbeddingTable plain(rows, dim);
+    plain.InitDeterministic(1, 0, 0, dim);
+    ops::PlainRowStore plain_store(plain);
+    TieredEmbeddingBag plain_bag(&plain_store, config);
+
+    MemoryTier hbm(Tier::kHbm, 1e9, 850e9);
+    MemoryTier ddr(Tier::kDdr, 1e12, 13e9);
+    // One set of 4 ways.
+    CachedEmbeddingStore store(std::move(plain), {1, 4}, &hbm, &ddr);
+    TieredEmbeddingBag bag(&store, config);
+
+    Matrix out_plain, out_cached;
+    plain_bag.Forward({data.lengths, data.indices}, data.batch, out_plain);
+    bag.Forward({data.lengths, data.indices}, data.batch, out_cached);
+    EXPECT_TRUE(Matrix::Identical(out_plain, out_cached));
+    EXPECT_EQ(store.stats().hits + store.stats().misses, distinct.size());
 }
 
 }  // namespace

@@ -141,13 +141,11 @@ TEST(DlrmReference, BatchOrderInvariantEmbeddingUpdates)
     m1.TrainStep(batch);
     m2.TrainStep(reversed);
     for (size_t t = 0; t < model.tables.size(); t++) {
-        // Gradients reaching the tables differ at float-rounding level
-        // between the two orderings only through MLP backward GEMMs,
-        // which are per-sample independent here; the sparse update itself
-        // is order-invariant. Allow only tiny drift.
-        EXPECT_LT(ops::EmbeddingTable::MaxAbsDiff(m1.embeddings().table(t),
-                                                  m2.embeddings().table(t)),
-                  1e-6f)
+        // Each sample's gradient reaching the tables is bitwise the same
+        // in both orders, so the order-invariant exact update leaves
+        // identical tables.
+        EXPECT_TRUE(ops::EmbeddingTable::Identical(m1.embeddings().table(t),
+                                                   m2.embeddings().table(t)))
             << t;
     }
 }

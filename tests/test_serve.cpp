@@ -23,6 +23,7 @@
 #include "core/distributed_trainer.h"
 #include "core/dlrm_config.h"
 #include "data/dataset.h"
+#include "obs/metrics.h"
 #include "serve/batcher.h"
 #include "serve/engine.h"
 #include "serve/server.h"
@@ -868,6 +869,49 @@ TEST(Admission, ShedsOnSloBudget)
     serve::Ticket second = server.Submit(RequestFor(batch, 1, 1));
     EXPECT_EQ(second.admission, serve::Admission::kShedSlo);
     EXPECT_TRUE(server.shedding());
+
+    server.Stop();
+    world.join();
+}
+
+/** A batch is counted before its requests complete: a client holding a
+ *  response always finds that response's batch in the batch metrics. */
+TEST(ServerMetrics, BatchCountedBeforeItsResponsesComplete)
+{
+    DlrmConfig model = core::MakeSmallDlrmConfig(2, 40, 16);
+    const sharding::ShardingPlan plan =
+        MakePlan(model, 1, false, false, false);
+    std::shared_ptr<const serve::ModelSnapshot> snap;
+    comm::ThreadedWorld::Run(1, [&](int, comm::ProcessGroup& pg) {
+        DistributedDlrm trainer(model, plan, pg);
+        snap = serve::SnapshotFromTrainer(trainer, plan, 1);
+    });
+    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    const data::Batch batch = dataset.NextBatch(8);
+
+    serve::ServerOptions options;
+    options.batcher.max_delay_us = 0;
+    serve::Server server(model.num_dense, model.tables.size(), options);
+    server.Publish(snap);
+    std::thread world([&] {
+        comm::ThreadedWorld::Run(1, [&](int rank, comm::ProcessGroup& pg) {
+            server.RankLoop(rank, pg);
+        });
+    });
+
+    auto& metrics = obs::MetricsRegistry::Get();
+    const obs::Counter& batches = metrics.GetCounter("neo.serve.batches");
+    const obs::Histogram& sizes = metrics.GetHistogram("neo.serve.batch_size");
+    const uint64_t batches_before = batches.value();
+    const uint64_t sizes_before = sizes.GetSnapshot().count;
+    // One request at a time, so each response ends a batch of its own.
+    for (uint64_t i = 0; i < batch.size(); i++) {
+        serve::Ticket ticket = server.Submit(RequestFor(batch, i, i));
+        ASSERT_EQ(ticket.admission, serve::Admission::kAccepted);
+        ticket.response.get();
+        EXPECT_EQ(batches.value(), batches_before + i + 1);
+        EXPECT_EQ(sizes.GetSnapshot().count, sizes_before + i + 1);
+    }
 
     server.Stop();
     world.join();
