@@ -19,19 +19,6 @@ namespace {
 
 using namespace neo;
 
-data::DatasetConfig
-MakeDataConfig(const core::DlrmConfig& model)
-{
-    data::DatasetConfig config;
-    config.num_dense = model.num_dense;
-    config.seed = 5;
-    for (const auto& t : model.tables) {
-        // Very skewed + heavy pooling: lots of duplicate rows per batch.
-        config.features.push_back({t.rows, t.pooling, 1.3});
-    }
-    return config;
-}
-
 /** End-to-end NE of a model trained with the (default) exact path. */
 double
 TrainedNe(uint64_t data_seed)
@@ -43,8 +30,9 @@ TrainedNe(uint64_t data_seed)
     model.sparse_optimizer.kind = ops::SparseOptimizerKind::kRowWiseAdaGrad;
 
     core::DlrmReference reference(model);
-    data::DatasetConfig config = MakeDataConfig(model);
-    config.seed = data_seed;
+    // Very skewed + heavy pooling: lots of duplicate rows per batch.
+    const data::DatasetConfig config =
+        core::MakeDatasetConfig(model, data_seed, /*zipf_s=*/1.3);
     data::SyntheticCtrDataset dataset(config);
     for (int s = 0; s < 150; s++) {
         reference.TrainStep(dataset.NextBatch(64));

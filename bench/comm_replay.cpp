@@ -13,6 +13,7 @@
 #include "common/table_printer.h"
 #include "common/units.h"
 #include "core/distributed_trainer.h"
+#include "core/dlrm_config.h"
 #include "data/dataset.h"
 #include "sharding/planner.h"
 #include "sim/trace_replay.h"
@@ -43,12 +44,7 @@ main()
     sharding::ShardingPlanner planner(planner_options);
     const sharding::ShardingPlan plan = planner.Plan(model.tables);
 
-    data::DatasetConfig data_config;
-    data_config.num_dense = model.num_dense;
-    data_config.seed = 3;
-    for (const auto& t : model.tables) {
-        data_config.features.push_back({t.rows, t.pooling, 1.05});
-    }
+    const data::DatasetConfig data_config = core::MakeDatasetConfig(model, 3);
 
     // ---- record rank 0's collective trace over real training steps ----
     std::vector<comm::TraceEvent> trace;

@@ -25,20 +25,6 @@ namespace {
 
 using namespace neo;
 
-data::DatasetConfig
-MakeDataConfig(const core::DlrmConfig& model, uint64_t seed)
-{
-    data::DatasetConfig config;
-    config.num_dense = model.num_dense;
-    config.seed = seed;
-    config.signal_scale = 0.8f;
-    config.noise_scale = 0.6f;
-    for (const auto& t : model.tables) {
-        config.features.push_back({t.rows, t.pooling, 1.05});
-    }
-    return config;
-}
-
 /** Held-out evaluation: same planted task, disjoint sampling stream. */
 data::DatasetConfig
 HeldOut(const data::DatasetConfig& config)
@@ -82,7 +68,9 @@ main()
     const int kCheckpoints = 8;
 
     core::DlrmConfig model = core::MakeSmallDlrmConfig(4, 400, 16);
-    const data::DatasetConfig data_config = MakeDataConfig(model, 5);
+    data::DatasetConfig data_config = core::MakeDatasetConfig(model, 5);
+    data_config.signal_scale = 0.8f;
+    data_config.noise_scale = 0.6f;
 
     ps::PsConfig ps_config;
     ps_config.num_trainers = 16;

@@ -31,6 +31,7 @@
 #include "common/table_printer.h"
 #include "core/checkpoint.h"
 #include "core/distributed_trainer.h"
+#include "core/dlrm_config.h"
 #include "data/dataset.h"
 #include "kernels/kernels.h"
 #include "ops/embedding_table.h"
@@ -46,18 +47,6 @@ using std::chrono::milliseconds;
 constexpr int kWorkers = 8;
 constexpr size_t kLocalBatch = 16;
 constexpr int kSteps = 4;
-
-data::DatasetConfig
-MakeDataConfig(const core::DlrmConfig& model)
-{
-    data::DatasetConfig config;
-    config.num_dense = model.num_dense;
-    config.seed = 11;
-    for (const auto& t : model.tables) {
-        config.features.push_back({t.rows, t.pooling, 1.05});
-    }
-    return config;
-}
 
 data::Batch
 LocalSlice(const data::Batch& global, int rank)
@@ -219,7 +208,7 @@ main(int argc, char** argv)
     comm::ThreadedWorld::Run(kWorkers, [&](int rank,
                                            comm::ProcessGroup& pg) {
         core::DistributedDlrm trainer(model, plan, pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(core::MakeDatasetConfig(model, 11));
         trainer.TrainStep(LocalSlice(dataset.NextBatch(
                                          kLocalBatch * kWorkers),
                                      rank));
@@ -271,7 +260,8 @@ main(int argc, char** argv)
             const auto start = std::chrono::steady_clock::now();
             core::DistributedDlrm trainer(model, plan, pg,
                                           trainer_options);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                core::MakeDatasetConfig(model, 11));
             RankReport& report = reports[rank];
             for (int step = 0; step < kSteps; step++) {
                 const data::Batch local = LocalSlice(

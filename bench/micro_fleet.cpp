@@ -35,7 +35,7 @@
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "sharding/planner.h"
-#include "sim/serving_model.h"
+#include "sim/fleet_model.h"
 
 namespace {
 
@@ -43,18 +43,6 @@ using namespace neo;
 
 constexpr int kWorkers = 2;
 constexpr int kReplicas = 3;
-
-data::DatasetConfig
-MakeDataConfig(const core::DlrmConfig& model)
-{
-    data::DatasetConfig config;
-    config.num_dense = model.num_dense;
-    config.seed = 99;
-    for (const auto& t : model.tables) {
-        config.features.push_back({t.rows, t.pooling, 1.05});
-    }
-    return config;
-}
 
 float
 Sigmoid(float logit)
@@ -268,14 +256,14 @@ main(int argc, char** argv)
     // Train briefly, cut the serving snapshot, and score the request
     // pool in-trainer for the bitwise reference.
     const size_t pool_size = 64;
-    data::SyntheticCtrDataset pool_stream(MakeDataConfig(model));
+    data::SyntheticCtrDataset pool_stream(core::MakeDatasetConfig(model, 99));
     const data::Batch pool = pool_stream.NextBatch(pool_size);
     std::shared_ptr<const serve::ModelSnapshot> snapshot;
     std::vector<float> ref_scores(pool_size);
     comm::ThreadedWorld::Run(kWorkers, [&](int rank,
                                            comm::ProcessGroup& pg) {
         core::DistributedDlrm trainer(model, plan, pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(core::MakeDatasetConfig(model, 99));
         const size_t local_batch = 16;
         for (int s = 0; s < 4; s++) {
             data::Batch global = dataset.NextBatch(local_batch * kWorkers);

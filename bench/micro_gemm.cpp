@@ -1,7 +1,7 @@
 /**
  * @file
  * SIMD-tier sweep for the packed GEMM path: times Gemm at representative
- * DLRM MLP shapes once per supported kernel tier (scalar / sse / avx2 /
+ * DLRM MLP shapes once per supported kernel tier (scalar / avx2 /
  * avx512) and emits the GFLOP/s curve plus speedup over the scalar
  * reference. Every timed run is also checked bit-for-bit against the
  * scalar-tier result, so the file doubles as a record of the cross-tier

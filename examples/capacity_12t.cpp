@@ -16,6 +16,7 @@
 #include "comm/threaded_process_group.h"
 #include "common/units.h"
 #include "core/distributed_trainer.h"
+#include "core/dlrm_config.h"
 #include "data/dataset.h"
 #include "sim/capacity_model.h"
 
@@ -66,12 +67,8 @@ main()
                 static_cast<int>(plan.shards.size()) -
                     static_cast<int>(model.tables.size()) + 1);
 
-    data::DatasetConfig data_config;
-    data_config.num_dense = model.num_dense;
-    data_config.seed = 7;
-    for (const auto& t : model.tables) {
-        data_config.features.push_back({t.rows, t.pooling, 1.1});
-    }
+    const data::DatasetConfig data_config =
+        core::MakeDatasetConfig(model, 7, /*zipf_s=*/1.1);
     std::vector<double> last_loss(kWorkers);
     comm::ThreadedWorld::Run(kWorkers, [&](int rank,
                                            comm::ProcessGroup& pg) {

@@ -33,18 +33,6 @@ namespace {
 
 using namespace neo;
 
-data::DatasetConfig
-MakeDataConfig(const core::DlrmConfig& model)
-{
-    data::DatasetConfig config;
-    config.num_dense = model.num_dense;
-    config.seed = 99;
-    for (const auto& t : model.tables) {
-        config.features.push_back({t.rows, t.pooling, 1.05});
-    }
-    return config;
-}
-
 /**
  * Aggregate workload stats for sim::IterationModel, derived from the
  * same config the functional run trains.
@@ -176,7 +164,7 @@ main(int argc, char** argv)
         core::DistributedDlrm trainer(model, plan, pg, options);
         // Each worker generates the identical global stream and trains on
         // its slice — what a distributed reader tier would feed it.
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(core::MakeDatasetConfig(model, 99));
         double loss = 0.0;
         for (int step = 0; step < kSteps; step++) {
             data::Batch global = dataset.NextBatch(kLocalBatch * kWorkers);
@@ -215,11 +203,13 @@ main(int argc, char** argv)
     // ---- measured vs. modeled step breakdown ------------------------
     if (tracing) {
         const std::vector<obs::Span> spans = obs::Tracer::Get().Collect();
-        if (obs::Tracer::Get().WriteChromeJson("neo_trace.json")) {
-            std::printf("\nwrote neo_trace.json (%zu spans; open in "
-                        "https://ui.perfetto.dev)\n",
-                        spans.size());
+        if (!obs::Tracer::Get().WriteChromeJson("neo_trace.json")) {
+            std::fprintf(stderr, "cannot write neo_trace.json\n");
+            return 1;
         }
+        std::printf("\nwrote neo_trace.json (%zu spans; open in "
+                    "https://ui.perfetto.dev)\n",
+                    spans.size());
         const obs::StepBreakdown measured =
             obs::StepBreakdown::FromSpans(spans, /*rank=*/0);
         std::printf("\nmeasured step breakdown (rank 0, %d steps, "

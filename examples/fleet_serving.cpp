@@ -43,18 +43,6 @@ using namespace neo;
 constexpr int kWorkers = 2;
 constexpr int kReplicas = 3;
 
-data::DatasetConfig
-MakeDataConfig(const core::DlrmConfig& model, uint64_t seed)
-{
-    data::DatasetConfig config;
-    config.num_dense = model.num_dense;
-    config.seed = seed;
-    for (const auto& t : model.tables) {
-        config.features.push_back({t.rows, t.pooling, 1.05});
-    }
-    return config;
-}
-
 }  // namespace
 
 int
@@ -124,7 +112,7 @@ main()
                 core::DistributedDlrm trainer(model, plan, pg);
                 core::DistributedCheckpointer ckpt(trainer, store);
                 data::SyntheticCtrDataset dataset(
-                    MakeDataConfig(model, 99));
+                    core::MakeDatasetConfig(model, 99));
                 const size_t local_batch = 16;
                 for (int round = 0; round < publish_rounds; round++) {
                     for (int s = 0; s < 3; s++) {
@@ -200,7 +188,7 @@ main()
     });
 
     // ---- closed-loop client --------------------------------------------
-    data::SyntheticCtrDataset traffic(MakeDataConfig(model, 4242));
+    data::SyntheticCtrDataset traffic(core::MakeDatasetConfig(model, 4242));
     const data::Batch pool = traffic.NextBatch(64);
     while (publishes.load() == 0 && !trainer_failed.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));

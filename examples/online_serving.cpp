@@ -10,13 +10,20 @@
  * under load.
  *
  *   ./online_serving
+ *
+ * With NEO_TRACE=1 the run also records the spans of both worlds and
+ * writes the Chrome trace to neo_serve_trace.json (load it in
+ * https://ui.perfetto.dev).
  */
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +33,7 @@
 #include "core/distributed_trainer.h"
 #include "core/dlrm_config.h"
 #include "data/dataset.h"
+#include "obs/trace.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "sharding/planner.h"
@@ -35,18 +43,6 @@ namespace {
 using namespace neo;
 
 constexpr int kWorkers = 2;
-
-data::DatasetConfig
-MakeDataConfig(const core::DlrmConfig& model, uint64_t seed)
-{
-    data::DatasetConfig config;
-    config.num_dense = model.num_dense;
-    config.seed = seed;
-    for (const auto& t : model.tables) {
-        config.features.push_back({t.rows, t.pooling, 1.05});
-    }
-    return config;
-}
 
 }  // namespace
 
@@ -63,7 +59,8 @@ main()
     const sharding::ShardingPlan plan = planner.Plan(model.tables);
 
     const std::string dir =
-        (std::filesystem::temp_directory_path() / "neo_online_serving")
+        (std::filesystem::temp_directory_path() /
+         ("neo_online_serving_" + std::to_string(::getpid())))
             .string();
     std::filesystem::remove_all(dir);
 
@@ -92,7 +89,7 @@ main()
                 core::DistributedDlrm trainer(model, plan, pg);
                 core::DistributedCheckpointer ckpt(trainer, store);
                 data::SyntheticCtrDataset dataset(
-                    MakeDataConfig(model, 99));
+                    core::MakeDatasetConfig(model, 99));
                 const size_t local_batch = 16;
                 for (int round = 0; round < publish_rounds; round++) {
                     for (int s = 0; s < 3; s++) {
@@ -149,7 +146,7 @@ main()
     });
 
     // ---- closed-loop client --------------------------------------------
-    data::SyntheticCtrDataset traffic(MakeDataConfig(model, 4242));
+    data::SyntheticCtrDataset traffic(core::MakeDatasetConfig(model, 4242));
     const data::Batch pool = traffic.NextBatch(64);
     while (server.CurrentVersion() == 0 && !trainer_failed.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -210,6 +207,15 @@ main()
     std::printf("\n");
 
     std::filesystem::remove_all(dir);
+    // NEO_TRACE=1 in the environment switches the tracer on at first use.
+    if (obs::Tracer::Get().enabled()) {
+        if (!obs::Tracer::Get().WriteChromeJson("neo_serve_trace.json")) {
+            std::fprintf(stderr, "cannot write neo_serve_trace.json\n");
+            return 1;
+        }
+        std::printf("wrote neo_serve_trace.json (open in "
+                    "https://ui.perfetto.dev)\n");
+    }
     if (server.SwapCount() < 4) {
         std::fprintf(stderr, "FAIL: expected >= 3 hot swaps under load\n");
         return 1;

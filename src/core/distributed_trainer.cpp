@@ -454,11 +454,7 @@ DistributedDlrm::ExchangeGradsAndUpdate(const PreparedInput& prepared,
         if (txn_ != nullptr) {
             txn_->CaptureShardRows(i, rows);
         }
-        if (options_.exact_sparse_update) {
-            shard.optimizer.ApplyGrouped(shard.table);
-        } else {
-            shard.optimizer.ApplyNaive(shard.table, refs);
-        }
+        shard.optimizer.ApplyGrouped(shard.table);
     }
 }
 
@@ -526,11 +522,7 @@ DistributedDlrm::UpdateDpTables(const PreparedInput& prepared,
         if (txn_ != nullptr) {
             txn_->CaptureDpRows(dpi, rows);
         }
-        if (options_.exact_sparse_update) {
-            dp.optimizer.ApplyGrouped(dp.replica);
-        } else {
-            dp.optimizer.ApplyNaive(dp.replica, refs);
-        }
+        dp.optimizer.ApplyGrouped(dp.replica);
     }
 }
 

@@ -47,8 +47,6 @@ struct DistributedOptions {
     Precision forward_alltoall = Precision::kFp32;
     /** Wire precision of the backward gradient AllToAll. */
     Precision backward_alltoall = Precision::kFp32;
-    /** Use the exact (sorted/merged) sparse update; false = naive path. */
-    bool exact_sparse_update = true;
 
     // ---- failure handling (TrainStepWithRecovery) ----
 

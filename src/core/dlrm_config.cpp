@@ -93,4 +93,16 @@ MakeSmallDlrmConfig(size_t num_tables, int64_t rows, size_t dim,
     return config;
 }
 
+data::DatasetConfig
+MakeDatasetConfig(const DlrmConfig& model, uint64_t seed, double zipf_s)
+{
+    data::DatasetConfig config;
+    config.num_dense = model.num_dense;
+    config.seed = seed;
+    for (const auto& t : model.tables) {
+        config.features.push_back({t.rows, t.pooling, zipf_s});
+    }
+    return config;
+}
+
 }  // namespace neo::core

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "data/dataset.h"
 #include "ops/dense_optimizer.h"
 #include "ops/embedding_bag.h"
 #include "ops/sparse_optimizer.h"
@@ -60,5 +61,13 @@ struct DlrmConfig {
 /** Convenience builder for small test/example models. */
 DlrmConfig MakeSmallDlrmConfig(size_t num_tables = 4, int64_t rows = 200,
                                size_t dim = 16, uint64_t seed = 1234);
+
+/**
+ * Synthetic-data config for `model`: its dense width, the stream `seed`,
+ * and one feature per table with the table's rows and mean pooling at
+ * Zipf skew `zipf_s`. Callers set any other generator field afterwards.
+ */
+data::DatasetConfig MakeDatasetConfig(const DlrmConfig& model, uint64_t seed,
+                                      double zipf_s = 1.05);
 
 }  // namespace neo::core

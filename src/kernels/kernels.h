@@ -37,13 +37,13 @@
 
 namespace neo::kernels {
 
-/** Dispatch tiers, narrowest to widest. */
+/**
+ * Dispatch tiers, narrowest to widest. The values are what the
+ * `neo.kernels.tier` gauge reports; 1 is unused. Hosts without AVX2
+ * run the scalar tier.
+ */
 enum class Tier {
     kScalar = 0,
-    /** 128-bit VEX kernels (requires AVX+FMA; a narrow-width cross-check
-        tier on wider hosts — plain SSE4.2 hosts lack FMA and fall back
-        to scalar, which carries the SSE4.2 baseline via std::fma). */
-    kSse = 1,
     kAvx2 = 2,
     kAvx512 = 3,
 };
@@ -121,7 +121,7 @@ struct KernelTable {
 /**
  * The active kernel table. Resolved once on first use: the widest tier
  * both compiled in and supported by the host, unless NEO_KERNEL_TIER
- * (scalar|sse|avx2|avx512) overrides it — a fatal error if the requested
+ * (scalar|avx2|avx512) overrides it — a fatal error if the requested
  * tier is unknown or unsupported. The selection is published to
  * obs::MetricsRegistry as gauge `neo.kernels.tier`.
  */

@@ -11,8 +11,8 @@
  * Cost model: a disabled span site is one relaxed atomic load and a
  * branch; `-DNEO_TRACE_LEVEL=0` compiles every site out entirely. An
  * enabled span is two steady_clock reads plus one slot write — no locks,
- * no allocation — so tracing a full training step stays well under the
- * 2% overhead budget (bench/micro_obs pins this down).
+ * no allocation. Tracing is for development runs; perfbench's traced
+ * runs report what it costs the training loop (`trace_overhead_frac`).
  *
  * Threading contract: appends are wait-free and strictly thread-local
  * (slot write, then a release store of the slot count). Collect() may

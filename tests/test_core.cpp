@@ -23,17 +23,8 @@
 namespace neo::core {
 namespace {
 
-data::DatasetConfig
-MakeDataConfig(const DlrmConfig& model, uint64_t seed = 5)
-{
-    data::DatasetConfig config;
-    config.num_dense = model.num_dense;
-    config.seed = seed;
-    for (const auto& t : model.tables) {
-        config.features.push_back({t.rows, t.pooling, 1.05});
-    }
-    return config;
-}
+/** Sampling-stream seed of this file's synthetic data. */
+constexpr uint64_t kDataSeed = 5;
 
 TEST(DlrmConfig, ValidationCatchesDimMismatch)
 {
@@ -60,7 +51,7 @@ TEST(DlrmReference, LossDecreasesOnPlantedTask)
 {
     DlrmConfig model = MakeSmallDlrmConfig(4, 200, 16);
     DlrmReference reference(model);
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
 
     double first_losses = 0.0, last_losses = 0.0;
     const int steps = 60;
@@ -80,7 +71,7 @@ TEST(DlrmReference, NeBeatsBaseRatePredictorAfterTraining)
 {
     DlrmConfig model = MakeSmallDlrmConfig(4, 200, 16);
     DlrmReference reference(model);
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
     for (int s = 0; s < 80; s++) {
         reference.TrainStep(dataset.NextBatch(64));
     }
@@ -96,12 +87,12 @@ TEST(DlrmReference, BitwiseDeterministicAcrossRuns)
     DlrmConfig model = MakeSmallDlrmConfig(3, 150, 16);
     auto run = [&]() {
         DlrmReference reference(model);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         for (int s = 0; s < 10; s++) {
             reference.TrainStep(dataset.NextBatch(32));
         }
         Matrix logits;
-        data::SyntheticCtrDataset eval(MakeDataConfig(model, 123));
+        data::SyntheticCtrDataset eval(MakeDatasetConfig(model, 123));
         reference.Predict(eval.NextBatch(32), logits);
         return logits;
     };
@@ -117,7 +108,7 @@ TEST(DlrmReference, BatchOrderInvariantEmbeddingUpdates)
     // by GEMM, which reorders additions, so compare only the embedding
     // tables after one step on a permuted batch.
     DlrmConfig model = MakeSmallDlrmConfig(2, 100, 16);
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
     const data::Batch batch = dataset.NextBatch(16);
 
     // Reversed-sample copy of the batch.
@@ -154,7 +145,7 @@ TEST(DlrmReference, CheckpointRoundTripIsExact)
 {
     DlrmConfig model = MakeSmallDlrmConfig(3, 120, 16);
     DlrmReference reference(model);
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
     for (int s = 0; s < 5; s++) {
         reference.TrainStep(dataset.NextBatch(32));
     }
@@ -168,7 +159,7 @@ TEST(DlrmReference, CheckpointRoundTripIsExact)
     EXPECT_TRUE(DlrmReference::Identical(reference, restored));
 
     // Restored model predicts identically.
-    data::SyntheticCtrDataset eval(MakeDataConfig(model, 321));
+    data::SyntheticCtrDataset eval(MakeDatasetConfig(model, 321));
     const data::Batch batch = eval.NextBatch(16);
     Matrix l1, l2;
     reference.Predict(batch, l1);
@@ -183,7 +174,7 @@ TEST(DlrmReference, Fp16EmbeddingsStillLearn)
         t.precision = Precision::kFp16;
     }
     DlrmReference reference(model);
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
     double first = 0.0, last = 0.0;
     for (int s = 0; s < 60; s++) {
         const double loss = reference.TrainStep(dataset.NextBatch(64));
@@ -290,7 +281,7 @@ TEST(StepTransaction, CapturesEachTablesUniqueRowsAscending)
     add_shard(2, sharding::Scheme::kDataParallel, 0, model.tables[2].rows,
               0);
 
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
     const data::Batch global = dataset.NextBatch(local_batch * workers);
     comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
         const size_t begin = static_cast<size_t>(rank) * local_batch;

@@ -29,19 +29,10 @@ using core::DistributedDlrm;
 using core::DistributedOptions;
 using core::DlrmConfig;
 using core::DlrmReference;
+using core::MakeDatasetConfig;
 
-/** Dataset config matching a DlrmConfig's tables. */
-data::DatasetConfig
-MakeDataConfig(const DlrmConfig& model, uint64_t seed = 99)
-{
-    data::DatasetConfig config;
-    config.num_dense = model.num_dense;
-    config.seed = seed;
-    for (const auto& t : model.tables) {
-        config.features.push_back({t.rows, t.pooling, 1.05});
-    }
-    return config;
-}
+/** Sampling-stream seed of this file's synthetic data. */
+constexpr uint64_t kDataSeed = 99;
 
 /** Build a plan with explicit scheme control. */
 sharding::ShardingPlan
@@ -130,7 +121,7 @@ TrainDistributed(const DlrmConfig& model, const sharding::ShardingPlan& plan,
         DistributedDlrm trainer(model, plan, pg, options);
         // Every worker generates the identical global stream and carves
         // out its slice, so different W values see the same global data.
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         for (int s = 0; s < steps; s++) {
             data::Batch global = dataset.NextBatch(global_batch);
             data::Batch local;
@@ -176,7 +167,7 @@ Matrix
 TrainReference(const DlrmConfig& model, int steps, size_t global_batch)
 {
     DlrmReference reference(model);
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
     for (int s = 0; s < steps; s++) {
         data::Batch batch = dataset.NextBatch(global_batch);
         reference.TrainStep(batch);
@@ -318,7 +309,7 @@ TEST(Distributed, DpReplicasStayIdentical)
     std::vector<std::vector<float>> table_bytes(workers);
     comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
         DistributedDlrm trainer(model, plan, pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         const size_t local_batch = 8;
         for (int s = 0; s < 4; s++) {
             data::Batch global = dataset.NextBatch(local_batch * workers);
@@ -390,7 +381,7 @@ TEST(Distributed, EvaluateComputesReasonableNe)
     std::vector<double> ne_values(workers);
     comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
         DistributedDlrm trainer(model, plan, pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         const size_t local_batch = 32;
         for (int s = 0; s < 30; s++) {
             data::Batch global = dataset.NextBatch(local_batch * workers);
@@ -492,7 +483,7 @@ TEST(Distributed, LocalCheckpointRoundTrip)
     Matrix after(local_batch * workers, 1);
     comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
         DistributedDlrm trainer(model, plan, pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         for (int s = 0; s < 3; s++) {
             data::Batch global = dataset.NextBatch(local_batch * workers);
             data::Batch local;
@@ -540,7 +531,7 @@ TEST(Distributed, LocalCheckpointRoundTrip)
         BinaryReader reader(checkpoints[rank]);
         trainer.LoadLocal(reader);
 
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         for (int s = 0; s < 3; s++) {
             dataset.NextBatch(local_batch * workers);  // skip trained data
         }
@@ -578,7 +569,7 @@ TEST(Distributed, TraceRecordsCollectiveSequence)
             pg.SetTrace(&trace);
         }
         DistributedDlrm trainer(model, plan, pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         data::Batch global = dataset.NextBatch(32);
         data::Batch local;
         const size_t local_batch = 16;
@@ -823,7 +814,8 @@ TEST(Distributed, TransientFaultRecoveredByStepRetry)
     comm::ThreadedWorld::Run(
         workers, world_options, [&](int rank, comm::ProcessGroup& pg) {
             DistributedDlrm trainer(model, plan, pg, options);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             data::Batch global = dataset.NextBatch(global_batch);
             data::Batch local;
             local.dense = Matrix(local_batch, global.dense.cols());
@@ -845,7 +837,8 @@ TEST(Distributed, TransientFaultRecoveredByStepRetry)
     comm::ThreadedWorld::Run(
         workers, [&](int rank, comm::ProcessGroup& pg) {
             DistributedDlrm trainer(model, plan, pg, options);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             data::Batch global = dataset.NextBatch(global_batch);
             data::Batch local;
             local.dense = Matrix(local_batch, global.dense.cols());
@@ -912,7 +905,8 @@ TEST(Distributed, PermanentFaultReportsStructuredFailure)
     comm::ThreadedWorld::Run(
         workers, world_options, [&](int rank, comm::ProcessGroup& pg) {
             DistributedDlrm trainer(model, plan, pg, options);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             data::Batch global = dataset.NextBatch(global_batch);
             data::Batch local;
             local.dense = Matrix(local_batch, global.dense.cols());
@@ -1019,7 +1013,8 @@ TEST(Distributed, RollbackMakesMidStepRetryBitIdentical)
         comm::ThreadedWorld::Run(
             workers, world_options, [&](int rank, comm::ProcessGroup& pg) {
                 DistributedDlrm trainer(model, plan, pg, opt);
-                data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+                data::SyntheticCtrDataset dataset(
+                    MakeDatasetConfig(model, kDataSeed));
                 for (int s = 0; s < steps; s++) {
                     const data::Batch local = SliceGlobal(
                         dataset.NextBatch(global_batch), rank, local_batch);
@@ -1046,7 +1041,8 @@ TEST(Distributed, RollbackMakesMidStepRetryBitIdentical)
     comm::ThreadedWorld::Run(
         workers, [&](int rank, comm::ProcessGroup& pg) {
             DistributedDlrm trainer(model, plan, pg, options);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             for (int s = 0; s < steps; s++) {
                 const data::Batch local = SliceGlobal(
                     dataset.NextBatch(global_batch), rank, local_batch);
@@ -1159,7 +1155,8 @@ TEST(Distributed, PermanentDeathShrinksReshardsAndConverges)
                 comm::ProcessGroup& pg = world.GetGroup(r);
                 DistributedDlrm trainer(model, plan, pg, options);
                 DistributedCheckpointer checkpointer(trainer, store);
-                data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+                data::SyntheticCtrDataset dataset(
+                    MakeDatasetConfig(model, kDataSeed));
 
                 checkpointer.WriteBaseline();
                 for (int s = 0; s < pre_steps; s++) {
@@ -1240,7 +1237,7 @@ TEST(Distributed, PermanentDeathShrinksReshardsAndConverges)
     // shrunk run restored baseline+deltas bit-exactly and replayed the
     // lost step, so only collective summation order separates the two.
     DlrmReference reference(model);
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
     for (int s = 0; s < total_steps; s++) {
         reference.TrainStep(dataset.NextBatch(global_batch));
     }
@@ -1286,7 +1283,8 @@ TEST(Distributed, PipelinedMidStepKillRollbackIsBitIdentical)
     comm::ThreadedWorld::Run(
         workers, [&](int rank, comm::ProcessGroup& pg) {
             DistributedDlrm trainer(model, plan, pg, options);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             for (int s = 0; s < steps; s++) {
                 const data::Batch local = SliceGlobal(
                     dataset.NextBatch(global_batch), rank, local_batch);
@@ -1318,7 +1316,8 @@ TEST(Distributed, PipelinedMidStepKillRollbackIsBitIdentical)
             core::PipelinedTrainer pipeline(trainer,
                                             prepare_world.GetGroup(rank));
             ASSERT_TRUE(pipeline.overlapped());
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             for (int s = 0; s < steps; s++) {
                 const data::Batch local = SliceGlobal(
                     dataset.NextBatch(global_batch), rank, local_batch);
@@ -1394,7 +1393,8 @@ TEST(Distributed, TwoPermanentDeathsOneRoundShrinksAndConverges)
                 comm::ProcessGroup& pg = world.GetGroup(r);
                 DistributedDlrm trainer(model, plan, pg, options);
                 DistributedCheckpointer checkpointer(trainer, store);
-                data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+                data::SyntheticCtrDataset dataset(
+                    MakeDatasetConfig(model, kDataSeed));
 
                 checkpointer.WriteBaseline();
                 for (int s = 0; s < pre_steps; s++) {
@@ -1474,7 +1474,7 @@ TEST(Distributed, TwoPermanentDeathsOneRoundShrinksAndConverges)
     EXPECT_EQ(store.Ranks(), (std::vector<int>{0, 1, 2, 3}));
 
     DlrmReference reference(model);
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
     for (int s = 0; s < total_steps; s++) {
         reference.TrainStep(dataset.NextBatch(global_batch));
     }

@@ -35,25 +35,14 @@
 #include "scoped_temp_dir.h"
 #include "serve/snapshot.h"
 #include "sharding/planner.h"
-#include "sim/serving_model.h"
+#include "sim/fleet_model.h"
 
 namespace neo {
 namespace {
 
 using core::DistributedDlrm;
 using core::DlrmConfig;
-
-data::DatasetConfig
-MakeDataConfig(const DlrmConfig& model, uint64_t seed = 99)
-{
-    data::DatasetConfig config;
-    config.num_dense = model.num_dense;
-    config.seed = seed;
-    for (const auto& t : model.tables) {
-        config.features.push_back({t.rows, t.pooling, 1.05});
-    }
-    return config;
-}
+using core::MakeDatasetConfig;
 
 sharding::ShardingPlan
 MakePlan(const DlrmConfig& model, int workers)
@@ -128,12 +117,13 @@ TrainVersions(int workers, int versions, size_t global_batch = 16)
     for (int v = 0; v <= versions; v++) {
         out.ref_logits.emplace_back(global_batch, 1);
     }
-    data::SyntheticCtrDataset eval_stream(MakeDataConfig(out.model, 4242));
+    data::SyntheticCtrDataset eval_stream(MakeDatasetConfig(out.model, 4242));
     out.eval = eval_stream.NextBatch(global_batch);
     comm::ThreadedWorld::Run(
         workers, [&](int rank, comm::ProcessGroup& pg) {
             DistributedDlrm trainer(out.model, out.plan, pg);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(out.model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(out.model, 99));
             for (int v = 1; v <= versions; v++) {
                 for (int s = 0; s < 2; s++) {
                     data::Batch global = dataset.NextBatch(global_batch);

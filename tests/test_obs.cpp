@@ -16,6 +16,7 @@
 #include "core/distributed_trainer.h"
 #include "core/dlrm_config.h"
 #include "data/dataset.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/step_breakdown.h"
 #include "obs/trace.h"
@@ -326,18 +327,6 @@ TEST(StepBreakdown, FromModelMapsEveryField)
 
 // ------------------------------------------------- end-to-end training
 
-data::DatasetConfig
-MakeDataConfig(const core::DlrmConfig& model)
-{
-    data::DatasetConfig config;
-    config.num_dense = model.num_dense;
-    config.seed = 99;
-    for (const auto& t : model.tables) {
-        config.features.push_back({t.rows, t.pooling, 1.05});
-    }
-    return config;
-}
-
 /** Train 2 ranks for `steps` steps; returns each rank's final loss. */
 std::vector<double>
 RunTwoRankTraining(int steps)
@@ -357,7 +346,7 @@ RunTwoRankTraining(int steps)
     comm::ThreadedWorld::Run(workers, [&](int rank,
                                           comm::ProcessGroup& pg) {
         core::DistributedDlrm trainer(model, plan, pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(core::MakeDatasetConfig(model, 99));
         for (int s = 0; s < steps; s++) {
             data::Batch global = dataset.NextBatch(local_batch * workers);
             data::Batch local;
@@ -416,18 +405,28 @@ TEST(StepBreakdown, TwoRankTrainingStepCoversWallClock)
 
 TEST(StepBreakdown, TracingDoesNotChangeNumerics)
 {
+    // The always-on flight recorder is the third observer: with it off,
+    // untraced, the losses must match the default recorder-on runs.
     Tracer::Get().SetEnabled(false);
     Tracer::Get().Clear();
+    FlightRecorder& recorder = FlightRecorder::Get();
+    const bool recorder_was_on = recorder.enabled();
+    recorder.SetEnabled(false);
+    const std::vector<double> unobserved = RunTwoRankTraining(2);
+    recorder.SetEnabled(true);
     const std::vector<double> untraced = RunTwoRankTraining(2);
     std::vector<double> traced;
     {
         TraceGuard guard;
         traced = RunTwoRankTraining(2);
     }
+    recorder.SetEnabled(recorder_was_on);
     ASSERT_EQ(untraced.size(), traced.size());
+    ASSERT_EQ(untraced.size(), unobserved.size());
     for (size_t r = 0; r < untraced.size(); r++) {
         // Bit-identical: observation must not perturb training.
         EXPECT_EQ(untraced[r], traced[r]) << "rank " << r;
+        EXPECT_EQ(untraced[r], unobserved[r]) << "rank " << r;
     }
 }
 

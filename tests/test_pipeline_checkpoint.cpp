@@ -20,6 +20,7 @@
 #include "core/async_checkpoint.h"
 #include "core/checkpoint.h"
 #include "core/distributed_trainer.h"
+#include "core/dlrm_config.h"
 #include "core/pipeline.h"
 #include "data/dataset.h"
 #include "obs/metrics.h"
@@ -32,17 +33,8 @@
 namespace neo::core {
 namespace {
 
-data::DatasetConfig
-MakeDataConfig(const DlrmConfig& model)
-{
-    data::DatasetConfig config;
-    config.num_dense = model.num_dense;
-    config.seed = 31;
-    for (const auto& t : model.tables) {
-        config.features.push_back({t.rows, t.pooling, 1.05});
-    }
-    return config;
-}
+/** Sampling-stream seed of this file's synthetic data. */
+constexpr uint64_t kDataSeed = 31;
 
 sharding::ShardingPlan
 PlanFor(const DlrmConfig& model, int workers)
@@ -88,7 +80,8 @@ TEST(Pipeline, MatchesUnpipelinedBitwise)
         comm::ThreadedWorld::Run(workers, [&](int rank,
                                               comm::ProcessGroup& pg) {
             DistributedDlrm trainer(model, plan, pg);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             std::vector<double> local_losses;
             if (pipelined) {
                 PipelinedTrainer pipeline(trainer);
@@ -152,7 +145,7 @@ RunSequential(const DlrmConfig& model, const sharding::ShardingPlan& plan,
     std::vector<double> losses;
     comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
         DistributedDlrm trainer(model, plan, pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         std::vector<double> local_losses;
         for (int s = 0; s < steps; s++) {
             data::Batch global = dataset.NextBatch(local_batch * workers);
@@ -175,7 +168,7 @@ RunOverlapped(const DlrmConfig& model, const sharding::ShardingPlan& plan,
     comm::ThreadedWorld prepare_world(workers);
     comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
         DistributedDlrm trainer(model, plan, pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         std::vector<double> local_losses;
         PipelinedTrainer pipeline(trainer, prepare_world.GetGroup(rank));
         EXPECT_TRUE(pipeline.overlapped());
@@ -355,34 +348,60 @@ TEST(DeltaCheckpoint, RestoreRejectsCorruptDelta)
 
 // ----------------------------------------------------- Async checkpoint
 
+/** How TrainWithCheckpoints trains and writes its checkpoints. */
+enum class Writer {
+    kSync,             ///< TrainStep, then a blocking WriteDelta
+    kAsync,            ///< TrainStep, then an AsyncCheckpointer delta
+    kAsyncOverlapped,  ///< the overlapped PipelinedTrainer + async deltas
+};
+
 /** Train `steps` steps, checkpointing each one into `store`. */
 void
 TrainWithCheckpoints(const DlrmConfig& model,
                      const sharding::ShardingPlan& plan, int workers,
                      size_t local_batch, int steps, CheckpointStore& store,
-                     bool async)
+                     Writer writer)
 {
+    comm::ThreadedWorld prepare_world(workers);
     comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
         DistributedDlrm trainer(model, plan, pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         DistributedCheckpointer checkpointer(trainer, store);
         std::optional<AsyncCheckpointer> background;
-        if (async) {
+        if (writer == Writer::kSync) {
+            checkpointer.WriteBaseline();
+        } else {
             background.emplace(checkpointer, rank);
             background->WriteBaseline();
-        } else {
-            checkpointer.WriteBaseline();
         }
-        for (int s = 0; s < steps; s++) {
-            data::Batch global = dataset.NextBatch(local_batch * workers);
-            trainer.TrainStep(Slice(global, rank, local_batch));
-            if (async) {
+        const auto write_delta = [&] {
+            if (background) {
                 background->WriteDelta();
             } else {
                 checkpointer.WriteDelta();
             }
+        };
+        if (writer == Writer::kAsyncOverlapped) {
+            // As train_sparse runs it: a delta after each step the
+            // pipeline completes, while it prepares the next batch.
+            PipelinedTrainer pipeline(trainer, prepare_world.GetGroup(rank));
+            for (int s = 0; s < steps; s++) {
+                data::Batch global = dataset.NextBatch(local_batch * workers);
+                if (pipeline.Push(Slice(global, rank, local_batch))) {
+                    write_delta();
+                }
+            }
+            if (pipeline.Flush()) {
+                write_delta();
+            }
+        } else {
+            for (int s = 0; s < steps; s++) {
+                data::Batch global = dataset.NextBatch(local_batch * workers);
+                trainer.TrainStep(Slice(global, rank, local_batch));
+                write_delta();
+            }
         }
-        if (async) {
+        if (background) {
             background->Flush();
             EXPECT_EQ(background->flushed_generation(),
                       static_cast<uint64_t>(steps));
@@ -393,9 +412,10 @@ TrainWithCheckpoints(const DlrmConfig& model,
 
 TEST(AsyncCheckpoint, StoreByteIdenticalToSyncCheckpointing)
 {
-    // Async checkpointing only moves WHERE serialization runs; every
-    // baseline and every delta in the store must be byte-for-byte what
-    // the synchronous writer produces.
+    // Async checkpointing only moves WHERE serialization runs, and the
+    // overlapped pipeline only moves where the input AllToAll runs;
+    // every baseline and every delta in the store must be byte-for-byte
+    // what the synchronous writer produces after unpipelined steps.
     const DlrmConfig model = MakeSmallDlrmConfig(4, 150, 16);
     const int workers = 2;
     const size_t local_batch = 16;
@@ -403,24 +423,26 @@ TEST(AsyncCheckpoint, StoreByteIdenticalToSyncCheckpointing)
     const sharding::ShardingPlan plan = PlanFor(model, workers);
 
     CheckpointStore sync_store;
-    CheckpointStore async_store;
     TrainWithCheckpoints(model, plan, workers, local_batch, steps,
-                         sync_store, /*async=*/false);
-    TrainWithCheckpoints(model, plan, workers, local_batch, steps,
-                         async_store, /*async=*/true);
-
-    ASSERT_EQ(sync_store.Ranks(), async_store.Ranks());
-    for (const int rank : sync_store.Ranks()) {
-        EXPECT_EQ(sync_store.Baseline(rank), async_store.Baseline(rank))
-            << "baseline, rank " << rank;
-        const auto sync_deltas = sync_store.Deltas(rank);
-        const auto async_deltas = async_store.Deltas(rank);
-        ASSERT_EQ(sync_deltas.size(), async_deltas.size())
-            << "rank " << rank;
-        ASSERT_EQ(sync_deltas.size(), static_cast<size_t>(steps));
-        for (size_t i = 0; i < sync_deltas.size(); i++) {
-            EXPECT_EQ(sync_deltas[i], async_deltas[i])
-                << "delta " << i << ", rank " << rank;
+                         sync_store, Writer::kSync);
+    for (const Writer writer : {Writer::kAsync, Writer::kAsyncOverlapped}) {
+        SCOPED_TRACE(writer == Writer::kAsync ? "async" : "async overlapped");
+        CheckpointStore async_store;
+        TrainWithCheckpoints(model, plan, workers, local_batch, steps,
+                             async_store, writer);
+        ASSERT_EQ(sync_store.Ranks(), async_store.Ranks());
+        for (const int rank : sync_store.Ranks()) {
+            EXPECT_EQ(sync_store.Baseline(rank), async_store.Baseline(rank))
+                << "baseline, rank " << rank;
+            const auto sync_deltas = sync_store.Deltas(rank);
+            const auto async_deltas = async_store.Deltas(rank);
+            ASSERT_EQ(sync_deltas.size(), async_deltas.size())
+                << "rank " << rank;
+            ASSERT_EQ(sync_deltas.size(), static_cast<size_t>(steps));
+            for (size_t i = 0; i < sync_deltas.size(); i++) {
+                EXPECT_EQ(sync_deltas[i], async_deltas[i])
+                    << "delta " << i << ", rank " << rank;
+            }
         }
     }
 }
@@ -445,7 +467,8 @@ TEST(AsyncCheckpoint, DiskStoreDrainsAndRestoresExactly)
         comm::ThreadedWorld::Run(
             workers, [&](int rank, comm::ProcessGroup& pg) {
                 DistributedDlrm trainer(model, plan, pg);
-                data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+                data::SyntheticCtrDataset dataset(
+                    MakeDatasetConfig(model, kDataSeed));
                 DistributedCheckpointer checkpointer(trainer, store);
                 AsyncCheckpointer background(checkpointer, rank);
                 background.WriteBaseline();
@@ -456,7 +479,8 @@ TEST(AsyncCheckpoint, DiskStoreDrainsAndRestoresExactly)
                     background.WriteDelta();
                 }
                 background.Flush();
-                data::SyntheticCtrDataset probe(MakeDataConfig(model));
+                data::SyntheticCtrDataset probe(
+                    MakeDatasetConfig(model, kDataSeed));
                 data::Batch global = probe.NextBatch(local_batch * workers);
                 Matrix logits;
                 trainer.Predict(Slice(global, rank, local_batch), logits);
@@ -470,7 +494,7 @@ TEST(AsyncCheckpoint, DiskStoreDrainsAndRestoresExactly)
     comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
         DistributedDlrm restored(model, plan, pg);
         DistributedCheckpointer::RestoreInto(reopened, restored);
-        data::SyntheticCtrDataset probe(MakeDataConfig(model));
+        data::SyntheticCtrDataset probe(MakeDatasetConfig(model, kDataSeed));
         data::Batch global = probe.NextBatch(local_batch * workers);
         Matrix logits;
         restored.Predict(Slice(global, rank, local_batch), logits);
@@ -494,7 +518,7 @@ TEST(AsyncCheckpoint, CaptureFailureReleasesSlotForLaterWrites)
         EXPECT_THROW(background.WriteDelta(), std::runtime_error);
         EXPECT_EQ(background.in_flight(), 0u);
         background.WriteBaseline();
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         data::Batch batch = dataset.NextBatch(8);
         trainer.TrainStep(batch);
         background.WriteDelta();
@@ -730,7 +754,8 @@ TEST(DirtyRowCheckpoint, DeltaCarriesEveryChangedRowAndOnlyUpdatedRows)
                                             comm::ProcessGroup& pg) {
                 DistributedDlrm trainer(model, plan, pg);
                 DistributedCheckpointer ckpt(trainer, store);
-                data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+                data::SyntheticCtrDataset dataset(
+                    MakeDatasetConfig(model, kDataSeed));
                 ckpt.WriteBaseline();
                 std::vector<EntryState> previous = CopyEntries(trainer, rank);
                 for (int write = 0; write < 4; write++) {
@@ -830,7 +855,8 @@ TEST(DirtyRowCheckpoint, RolledBackRetryThenDeltaRestoresBitwise)
         2, world_options, [&](int rank, comm::ProcessGroup& pg) {
             DistributedDlrm trainer(model, MixedPlan(model), pg, options);
             DistributedCheckpointer ckpt(trainer, store);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             ckpt.WriteBaseline();
             for (int s = 0; s < 3; s++) {
                 const StepResult result = trainer.TrainStepWithRecovery(
@@ -851,7 +877,7 @@ TEST(DirtyRowCheckpoint, LoadLocalThenDeltaRestoresBitwise)
     CheckpointStore store;
     comm::ThreadedWorld::Run(2, [&](int rank, comm::ProcessGroup& pg) {
         DistributedDlrm source(model, MixedPlan(model), pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         for (int s = 0; s < 3; s++) {
             source.TrainStep(
                 Slice(dataset.NextBatch(kLocalBatch * 2), rank, kLocalBatch));
@@ -880,7 +906,8 @@ TEST(DirtyRowCheckpoint, RestoreIntoThenDeltaRestoresBitwise)
         {
             DistributedDlrm source(model, MixedPlan(model), pg);
             DistributedCheckpointer ckpt(source, trained);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             ckpt.WriteBaseline();
             for (int s = 0; s < 3; s++) {
                 source.TrainStep(Slice(dataset.NextBatch(kLocalBatch * 2),
@@ -925,7 +952,8 @@ TEST(DirtyRowCheckpoint, FailedEpochAgreementThenDeltaRestoresBitwise)
         2, world_options, [&](int rank, comm::ProcessGroup& pg) {
             DistributedDlrm trainer(model, MixedPlan(model), pg);
             DistributedCheckpointer ckpt(trainer, store);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             ckpt.WriteBaseline();
             auto step = [&] {
                 trainer.TrainStep(Slice(dataset.NextBatch(kLocalBatch * 2),
@@ -960,7 +988,7 @@ TEST(DirtyRowCheckpoint, SecondLiveCheckpointerOnOneTrainerThrows)
         // The first is gone, so a new one may take over the trainer.
         DistributedCheckpointer next(trainer, store);
         next.WriteBaseline();
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         trainer.TrainStep(dataset.NextBatch(kLocalBatch));
         next.WriteDelta();
         EXPECT_GT(next.last_delta_rows(), 0u);
@@ -989,7 +1017,7 @@ TEST(DirtyRowCheckpoint, CaptureTimeAndRowsAreExported)
         DistributedDlrm trainer(model, MixedPlan(model), pg);
         DistributedCheckpointer ckpt(trainer, store);
         AsyncCheckpointer background(ckpt, rank);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         background.WriteBaseline();
         for (int w = 0; w < writes; w++) {
             trainer.TrainStep(
@@ -1045,7 +1073,8 @@ struct SmallJob {
         comm::ThreadedWorld::Run(2, [&](int rank, comm::ProcessGroup& pg) {
             DistributedDlrm trainer(model, MixedPlan(model), pg);
             DistributedCheckpointer ckpt(trainer, store);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             ckpt.WriteBaseline();
             for (int d = 0; d < deltas; d++) {
                 trainer.TrainStep(Slice(dataset.NextBatch(kLocalBatch * 2),

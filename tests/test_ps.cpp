@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "core/dlrm_config.h"
 #include "core/dlrm_reference.h"
 #include "data/dataset.h"
 #include "ps/async_ps_trainer.h"
@@ -17,16 +18,11 @@ namespace {
 data::DatasetConfig
 MakeDataConfig(const core::DlrmConfig& model, uint64_t seed = 5)
 {
-    data::DatasetConfig config;
-    config.num_dense = model.num_dense;
-    config.seed = seed;
+    data::DatasetConfig config = core::MakeDatasetConfig(model, seed);
     // Stronger planted signal keeps these statistical tests fast: the
     // async-vs-sync gap shows up within a few hundred small batches.
     config.signal_scale = 1.0f;
     config.noise_scale = 0.4f;
-    for (const auto& t : model.tables) {
-        config.features.push_back({t.rows, t.pooling, 1.05});
-    }
     return config;
 }
 

@@ -36,18 +36,10 @@ namespace {
 
 using core::DistributedDlrm;
 using core::DlrmConfig;
+using core::MakeDatasetConfig;
 
-data::DatasetConfig
-MakeDataConfig(const DlrmConfig& model, uint64_t seed = 99)
-{
-    data::DatasetConfig config;
-    config.num_dense = model.num_dense;
-    config.seed = seed;
-    for (const auto& t : model.tables) {
-        config.features.push_back({t.rows, t.pooling, 1.05});
-    }
-    return config;
-}
+/** Sampling-stream seed of this file's synthetic data. */
+constexpr uint64_t kDataSeed = 99;
 
 sharding::ShardingPlan
 MakePlan(const DlrmConfig& model, int workers, bool allow_cw = true,
@@ -251,7 +243,7 @@ TEST(Batcher, NextBatchReturnsWhenWaitBudgetExpiresWithUnflushableQueue)
 TEST(Batcher, MergePadsToWorldMultiple)
 {
     DlrmConfig model = core::MakeSmallDlrmConfig(3, 50, 16);
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
     data::Batch batch = dataset.NextBatch(4);
     std::vector<serve::Pending> pending;
     for (size_t i = 0; i < 3; i++) {
@@ -320,7 +312,8 @@ TEST(DiskCheckpointStore, RoundTripsAcrossStoreInstances)
             workers, [&](int rank, comm::ProcessGroup& pg) {
                 DistributedDlrm trainer(model, plan, pg);
                 core::DistributedCheckpointer ckpt(trainer, store);
-                data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+                data::SyntheticCtrDataset dataset(
+                    MakeDatasetConfig(model, kDataSeed));
                 ckpt.WriteBaseline();
                 for (int s = 0; s < 3; s++) {
                     data::Batch global = dataset.NextBatch(global_batch);
@@ -351,7 +344,8 @@ TEST(DiskCheckpointStore, RoundTripsAcrossStoreInstances)
             core::DistributedCheckpointer::RestoreInto(reopened, trainer);
             // Replay the writer's stream position: 3 train batches, then
             // the eval batch.
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             for (int s = 0; s < 3; s++) {
                 dataset.NextBatch(global_batch);
             }
@@ -422,7 +416,8 @@ TEST(Snapshot, FromTrainerServesBitwiseTrainerScores)
     comm::ThreadedWorld::Run(
         workers, [&](int rank, comm::ProcessGroup& pg) {
             DistributedDlrm trainer(model, plan, pg);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             for (int s = 0; s < 3; s++) {
                 data::Batch global = dataset.NextBatch(global_batch);
                 trainer.TrainStep(SliceBatch(global, rank, local_batch));
@@ -479,7 +474,8 @@ TEST(Snapshot, FromStoreServesAcrossPlanChange)
             train_workers, [&](int rank, comm::ProcessGroup& pg) {
                 DistributedDlrm trainer(model, train_plan, pg);
                 core::DistributedCheckpointer ckpt(trainer, store);
-                data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+                data::SyntheticCtrDataset dataset(
+                    MakeDatasetConfig(model, kDataSeed));
                 for (int s = 0; s < 3; s++) {
                     data::Batch global = dataset.NextBatch(global_batch);
                     trainer.TrainStep(
@@ -508,7 +504,7 @@ TEST(Snapshot, FromStoreServesAcrossPlanChange)
     std::vector<float> served(global_batch, 0.0f);
     comm::ThreadedWorld::Run(1, [&](int, comm::ProcessGroup& pg) {
         serve::InferenceEngine engine(serve::EngineOptions{}, pg);
-        data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
         for (int s = 0; s < 3; s++) {
             dataset.NextBatch(global_batch);
         }
@@ -539,7 +535,8 @@ TEST(ServeDeterminism, ThreadCountAndBatchCompositionInvariant)
     comm::ThreadedWorld::Run(
         workers, [&](int rank, comm::ProcessGroup& pg) {
             DistributedDlrm trainer(model, plan, pg);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             for (int s = 0; s < 2; s++) {
                 data::Batch global = dataset.NextBatch(global_batch);
                 trainer.TrainStep(SliceBatch(global, rank, local_batch));
@@ -550,7 +547,7 @@ TEST(ServeDeterminism, ThreadCountAndBatchCompositionInvariant)
             }
         });
     ASSERT_NE(shared_snap, nullptr);
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model, 1234));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, 1234));
     const data::Batch eval = dataset.NextBatch(global_batch);
 
     // Frozen copies to prove the forward never writes the snapshot.
@@ -637,7 +634,7 @@ TEST(ServeDeterminism, TieredPathBitwiseMatchesDirect)
     });
     ASSERT_NE(shared_snap, nullptr);
 
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
     const data::Batch eval = dataset.NextBatch(8);
     std::vector<float> direct;
     std::vector<float> tiered;
@@ -683,12 +680,13 @@ TEST(HotSwap, ServesConsistentVersionsUnderConcurrentLoad)
     for (int v = 0; v <= versions; v++) {
         ref_logits.emplace_back(global_batch, 1);
     }
-    data::SyntheticCtrDataset eval_stream(MakeDataConfig(model, 4242));
+    data::SyntheticCtrDataset eval_stream(MakeDatasetConfig(model, 4242));
     const data::Batch eval = eval_stream.NextBatch(global_batch);
     comm::ThreadedWorld::Run(
         workers, [&](int rank, comm::ProcessGroup& pg) {
             DistributedDlrm trainer(model, plan, pg);
-            data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
             for (int v = 1; v <= versions; v++) {
                 for (int s = 0; s < 2; s++) {
                     data::Batch global = dataset.NextBatch(global_batch);
@@ -791,7 +789,7 @@ TEST(Admission, ShedsOnQueueFullAndRecovers)
         snap = serve::SnapshotFromTrainer(trainer, plan, 1);
     });
     ASSERT_NE(snap, nullptr);
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
     const data::Batch batch = dataset.NextBatch(8);
 
     serve::ServerOptions options;
@@ -846,7 +844,7 @@ TEST(Admission, ShedsOnSloBudget)
         DistributedDlrm trainer(model, plan, pg);
         snap = serve::SnapshotFromTrainer(trainer, plan, 1);
     });
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
     const data::Batch batch = dataset.NextBatch(4);
 
     serve::ServerOptions options;
@@ -886,7 +884,7 @@ TEST(ServerMetrics, BatchCountedBeforeItsResponsesComplete)
         DistributedDlrm trainer(model, plan, pg);
         snap = serve::SnapshotFromTrainer(trainer, plan, 1);
     });
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
     const data::Batch batch = dataset.NextBatch(8);
 
     serve::ServerOptions options;
@@ -922,7 +920,7 @@ TEST(ServerMetrics, BatchCountedBeforeItsResponsesComplete)
 TEST(Admission, StopWithoutSnapshotFailsQueuedRequests)
 {
     DlrmConfig model = core::MakeSmallDlrmConfig(2, 40, 16);
-    data::SyntheticCtrDataset dataset(MakeDataConfig(model));
+    data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
     const data::Batch batch = dataset.NextBatch(2);
     serve::Server server(model.num_dense, model.tables.size(),
                          serve::ServerOptions{});
