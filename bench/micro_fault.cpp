@@ -9,14 +9,17 @@
  * then priced on the modeled cluster via sim::FaultModel so the
  * functional and analytical layers can be compared.
  *
- * It then measures the elastic-recovery cost inputs: differential
- * checkpoint write/restore latency vs table size, and delta size vs Zipf
- * skew (the Check-N-Run observation), calibrates sim::FaultModel's
- * checkpoint bandwidth terms from the measurements, and emits everything
- * as BENCH_fault.json.
+ * It then measures the elastic-recovery cost inputs with the checkpointer
+ * training uses: a 1-rank DistributedDlrm trains real Zipf-skewed steps
+ * between a DistributedCheckpointer baseline and delta, and RestoreInto
+ * loads both into a fresh trainer. It reports write/restore latency vs
+ * table size and delta size vs Zipf skew (the Check-N-Run observation),
+ * exits 1 unless every restored trainer predicts bitwise what the live
+ * one does, calibrates sim::FaultModel's checkpoint bandwidth terms from
+ * the measurements, and emits everything as BENCH_fault.json.
  *
  * Usage: micro_fault [--quick] [--out=PATH]
- *   --quick  smaller tables / fewer touches (smoke-test mode)
+ *   --quick  smaller tables / fewer steps (smoke-test mode)
  *   --out    JSON output path (default BENCH_fault.json in the cwd)
  */
 #include <chrono>
@@ -27,14 +30,12 @@
 
 #include "comm/fault.h"
 #include "comm/threaded_process_group.h"
-#include "common/rng.h"
 #include "common/table_printer.h"
 #include "core/checkpoint.h"
 #include "core/distributed_trainer.h"
 #include "core/dlrm_config.h"
 #include "data/dataset.h"
 #include "kernels/kernels.h"
-#include "ops/embedding_table.h"
 #include "sharding/planner.h"
 #include "sim/comm_model.h"
 #include "sim/hardware.h"
@@ -47,6 +48,21 @@ using std::chrono::milliseconds;
 constexpr int kWorkers = 8;
 constexpr size_t kLocalBatch = 16;
 constexpr int kSteps = 4;
+
+/** Embedding width and batch size of the checkpoint measurements. */
+constexpr size_t kCkptDim = 32;
+constexpr size_t kCkptBatch = 128;
+
+sharding::ShardingPlan
+PlanFor(const core::DlrmConfig& model, int workers, size_t global_batch)
+{
+    sharding::PlannerOptions options;
+    options.topo.num_workers = workers;
+    options.topo.workers_per_node = workers;
+    options.global_batch = global_batch;
+    options.hbm_bytes_per_worker = 1e9;
+    return sharding::ShardingPlanner(options).Plan(model.tables);
+}
 
 data::Batch
 LocalSlice(const data::Batch& global, int rank)
@@ -86,90 +102,70 @@ TimeOnce(F&& fn)
         .count();
 }
 
-/** One table size's checkpoint write/restore measurement. */
+/**
+ * One checkpoint measurement: a baseline, `steps` training steps, a
+ * delta, and a restore of both into a fresh trainer.
+ */
 struct CkptMeasure {
     int64_t rows = 0;
-    int64_t dim = 0;
+    double skew = 0.0;
+    /** Embedding lookups the steps trained. */
+    size_t lookups = 0;
     size_t baseline_bytes = 0;
     double baseline_write_s = 0.0;
     size_t delta_bytes = 0;
     double delta_write_s = 0.0;
     double restore_s = 0.0;
     uint64_t delta_rows = 0;
+    /** The restored trainer's predictions equal the live one's bitwise. */
+    bool restored_exact = false;
 };
 
 /**
- * Measure baseline write, delta write after `touches` Zipf-skewed row
- * updates, and baseline+delta restore for one rows x dim table.
+ * Checkpoint a 1-rank trainer of one `rows`-row table: time the
+ * baseline, train `steps` steps on Zipf(`skew`) lookups, time the delta
+ * and the restore into a fresh trainer, and compare the two trainers'
+ * predictions on one more batch.
  */
 CkptMeasure
-MeasureCheckpoint(int64_t rows, int64_t dim, int touches)
+MeasureCheckpoint(int64_t rows, int steps, double skew)
 {
     CkptMeasure m;
     m.rows = rows;
-    m.dim = dim;
-    Rng rng(41);
-    ops::EmbeddingTable table(rows, dim);
-    table.InitUniform(rng);
-    core::DeltaCheckpointer checkpointer(&table);
-
-    std::vector<uint8_t> baseline;
-    m.baseline_write_s =
-        TimeOnce([&] { baseline = checkpointer.WriteBaseline(); });
-    m.baseline_bytes = baseline.size();
-
-    ZipfSampler sampler(static_cast<uint64_t>(rows), 1.2);
-    std::vector<float> row(static_cast<size_t>(dim));
-    for (int i = 0; i < touches; i++) {
-        const int64_t r = static_cast<int64_t>(sampler.Sample(rng));
-        table.ReadRow(r, row.data());
-        for (auto& x : row) {
-            x += 0.01f;
-        }
-        table.WriteRow(r, row.data());
-    }
-
-    std::vector<uint8_t> delta;
-    m.delta_write_s = TimeOnce([&] { delta = checkpointer.WriteDelta(); });
-    m.delta_bytes = delta.size();
-    m.delta_rows = checkpointer.last_delta_rows();
-
-    m.restore_s = TimeOnce(
-        [&] { core::DeltaCheckpointer::Restore(baseline, {delta}); });
-    return m;
-}
-
-/** One Zipf skew's delta-size measurement. */
-struct SkewMeasure {
-    double skew = 0.0;
-    uint64_t unique_rows = 0;
-    size_t delta_bytes = 0;
-    size_t baseline_bytes = 0;
-};
-
-SkewMeasure
-MeasureSkew(int64_t rows, int64_t dim, int touches, double skew)
-{
-    SkewMeasure m;
     m.skew = skew;
-    Rng rng(43);
-    ops::EmbeddingTable table(rows, dim);
-    table.InitUniform(rng);
-    core::DeltaCheckpointer checkpointer(&table);
-    m.baseline_bytes = checkpointer.WriteBaseline().size();
+    const core::DlrmConfig model =
+        core::MakeSmallDlrmConfig(1, rows, kCkptDim);
+    const sharding::ShardingPlan plan = PlanFor(model, 1, kCkptBatch);
+    comm::ThreadedWorld::Run(1, [&](int, comm::ProcessGroup& pg) {
+        core::DistributedDlrm trainer(model, plan, pg);
+        core::CheckpointStore store;
+        core::DistributedCheckpointer checkpointer(trainer, store);
+        data::SyntheticCtrDataset dataset(
+            core::MakeDatasetConfig(model, 41, skew));
 
-    ZipfSampler sampler(static_cast<uint64_t>(rows), skew);
-    std::vector<float> row(static_cast<size_t>(dim));
-    for (int i = 0; i < touches; i++) {
-        const int64_t r = static_cast<int64_t>(sampler.Sample(rng));
-        table.ReadRow(r, row.data());
-        for (auto& x : row) {
-            x += 0.01f;
+        m.baseline_write_s =
+            TimeOnce([&] { checkpointer.WriteBaseline(); });
+        m.baseline_bytes = store.TotalBytes();
+        for (int s = 0; s < steps; s++) {
+            const data::Batch batch = dataset.NextBatch(kCkptBatch);
+            m.lookups += batch.sparse.TotalIndices();
+            trainer.TrainStep(batch);
         }
-        table.WriteRow(r, row.data());
-    }
-    m.delta_bytes = checkpointer.WriteDelta().size();
-    m.unique_rows = checkpointer.last_delta_rows();
+        m.delta_write_s = TimeOnce([&] { checkpointer.WriteDelta(); });
+        m.delta_bytes = store.TotalBytes() - m.baseline_bytes;
+        m.delta_rows = checkpointer.last_delta_rows();
+
+        core::DistributedDlrm restored(model, plan, pg);
+        m.restore_s = TimeOnce([&] {
+            core::DistributedCheckpointer::RestoreInto(store, restored);
+        });
+        const data::Batch probe = dataset.NextBatch(kCkptBatch);
+        Matrix live;
+        Matrix back;
+        trainer.Predict(probe, live);
+        restored.Predict(probe, back);
+        m.restored_exact = Matrix::Identical(live, back);
+    });
     return m;
 }
 
@@ -193,13 +189,8 @@ main(int argc, char** argv)
     }
     core::DlrmConfig model = core::MakeSmallDlrmConfig(8, 500, 16);
 
-    sharding::PlannerOptions planner_options;
-    planner_options.topo.num_workers = kWorkers;
-    planner_options.topo.workers_per_node = kWorkers;
-    planner_options.global_batch = kLocalBatch * kWorkers;
-    planner_options.hbm_bytes_per_worker = 1e9;
-    sharding::ShardingPlanner planner(planner_options);
-    const sharding::ShardingPlan plan = planner.Plan(model.tables);
+    const sharding::ShardingPlan plan =
+        PlanFor(model, kWorkers, kLocalBatch * kWorkers);
 
     // ---- probe: count collective calls per training step ---------------
     // Fault specs address (rank, per-rank collective call index), so a
@@ -369,20 +360,25 @@ main(int argc, char** argv)
     model_table.Print();
 
     // ---- recovery latency vs table size --------------------------------
-    const int64_t dim = 32;
-    const int touches = quick ? 512 : 4096;
+    // One step trains kCkptBatch bags of about four lookups each.
+    const int steps = quick ? 1 : 8;
+    const double latency_skew = 1.2;
     const std::vector<int64_t> table_rows =
         quick ? std::vector<int64_t>{1024, 4096}
               : std::vector<int64_t>{2048, 8192, 32768};
-    std::printf("\ndifferential checkpoint latency vs table size "
-                "(d%lld, %d Zipf(1.2) touches):\n\n",
-                static_cast<long long>(dim), touches);
+    std::printf("\ncheckpoint latency vs table size (1 rank, d%zu, %d "
+                "training step(s) of %zu samples on Zipf(%.1f) lookups, "
+                "then a delta and a restore into a fresh trainer):\n\n",
+                kCkptDim, steps, kCkptBatch, latency_skew);
     TablePrinter ckpt_table({"rows", "baseline KB", "write ms", "delta KB",
-                             "delta ms", "restore ms", "delta rows"});
+                             "delta ms", "restore ms", "delta rows",
+                             "restore == live"});
     std::vector<CkptMeasure> measures;
+    bool all_exact = true;
     for (const int64_t rows : table_rows) {
-        const CkptMeasure m = MeasureCheckpoint(rows, dim, touches);
+        const CkptMeasure m = MeasureCheckpoint(rows, steps, latency_skew);
         measures.push_back(m);
+        all_exact = all_exact && m.restored_exact;
         ckpt_table.Row()
             .Cell(static_cast<int64_t>(m.rows))
             .CellF(m.baseline_bytes / 1e3, "%.1f")
@@ -390,31 +386,40 @@ main(int argc, char** argv)
             .CellF(m.delta_bytes / 1e3, "%.1f")
             .CellF(m.delta_write_s * 1e3, "%.3f")
             .CellF(m.restore_s * 1e3, "%.3f")
-            .Cell(static_cast<int64_t>(m.delta_rows));
+            .Cell(static_cast<int64_t>(m.delta_rows))
+            .Cell(m.restored_exact ? "yes" : "NO");
     }
     ckpt_table.Print();
 
     // ---- delta size vs Zipf skew ---------------------------------------
     const int64_t skew_rows = quick ? 4096 : 32768;
     const std::vector<double> skews = {1.01, 1.2, 1.5, 2.0};
-    std::printf("\ndelta size vs access skew (%lld rows x d%lld, %d "
-                "touches): hotter access -> fewer unique rows -> smaller "
-                "delta (Check-N-Run):\n\n",
-                static_cast<long long>(skew_rows),
-                static_cast<long long>(dim), touches);
-    TablePrinter skew_table({"zipf s", "unique rows", "delta KB",
-                             "% of baseline"});
-    std::vector<SkewMeasure> skew_measures;
+    std::printf("\ndelta size vs access skew (%lld rows x d%zu, %d "
+                "training step(s)): hotter access -> fewer unique rows -> "
+                "smaller delta (Check-N-Run):\n\n",
+                static_cast<long long>(skew_rows), kCkptDim, steps);
+    TablePrinter skew_table({"zipf s", "lookups", "unique rows", "delta KB",
+                             "% of baseline", "restore == live"});
+    std::vector<CkptMeasure> skew_measures;
     for (const double s : skews) {
-        const SkewMeasure m = MeasureSkew(skew_rows, dim, touches, s);
+        const CkptMeasure m = MeasureCheckpoint(skew_rows, steps, s);
         skew_measures.push_back(m);
+        all_exact = all_exact && m.restored_exact;
         skew_table.Row()
             .CellF(m.skew, "%.2f")
-            .Cell(static_cast<int64_t>(m.unique_rows))
+            .Cell(static_cast<int64_t>(m.lookups))
+            .Cell(static_cast<int64_t>(m.delta_rows))
             .CellF(m.delta_bytes / 1e3, "%.1f")
-            .CellF(100.0 * m.delta_bytes / m.baseline_bytes, "%.2f");
+            .CellF(100.0 * m.delta_bytes / m.baseline_bytes, "%.2f")
+            .Cell(m.restored_exact ? "yes" : "NO");
     }
     skew_table.Print();
+
+    if (!all_exact) {
+        std::printf("\nFAIL: a restored trainer's predictions differ from "
+                    "the live trainer's\n");
+        return 1;
+    }
 
     // ---- calibrate the FaultModel cost terms ---------------------------
     // Fit bandwidths on the largest table, then check the model against
@@ -462,11 +467,11 @@ main(int argc, char** argv)
         const CkptMeasure& m = measures[i];
         std::fprintf(
             f,
-            "    {\"rows\": %lld, \"dim\": %lld, \"baseline_bytes\": %zu, "
+            "    {\"rows\": %lld, \"dim\": %zu, \"baseline_bytes\": %zu, "
             "\"baseline_write_s\": %.6f, \"delta_bytes\": %zu, "
             "\"delta_write_s\": %.6f, \"restore_s\": %.6f, "
             "\"delta_rows\": %llu}%s\n",
-            static_cast<long long>(m.rows), static_cast<long long>(m.dim),
+            static_cast<long long>(m.rows), kCkptDim,
             m.baseline_bytes, m.baseline_write_s, m.delta_bytes,
             m.delta_write_s, m.restore_s,
             static_cast<unsigned long long>(m.delta_rows),
@@ -474,13 +479,13 @@ main(int argc, char** argv)
     }
     std::fprintf(f, "  ],\n  \"delta_vs_skew\": [\n");
     for (size_t i = 0; i < skew_measures.size(); i++) {
-        const SkewMeasure& m = skew_measures[i];
+        const CkptMeasure& m = skew_measures[i];
         std::fprintf(f,
-                     "    {\"skew\": %.2f, \"touches\": %d, "
+                     "    {\"skew\": %.2f, \"lookups\": %zu, "
                      "\"unique_rows\": %llu, \"delta_bytes\": %zu, "
                      "\"baseline_bytes\": %zu}%s\n",
-                     m.skew, touches,
-                     static_cast<unsigned long long>(m.unique_rows),
+                     m.skew, m.lookups,
+                     static_cast<unsigned long long>(m.delta_rows),
                      m.delta_bytes, m.baseline_bytes,
                      i + 1 < skew_measures.size() ? "," : "");
     }

@@ -126,14 +126,18 @@ ThreadedWorld::Barrier(int rank, std::chrono::milliseconds timeout)
     // each rank shows up. Step wall-clock cannot localize a slow rank
     // under BSP (everyone's step stretches equally while the fast ranks
     // wait right here), but the last one through the door is exactly the
-    // rank holding everyone up.
-    if (barrier_waiting_ == 0) {
-        barrier_first_arrival_ns_ = obs::NowNs();
-        Detector().RecordArrival(rank, 0.0);
-    } else {
-        const double lateness =
-            static_cast<double>(obs::NowNs() - barrier_first_arrival_ns_) /
-            1e9;
+    // rank holding everyone up. A world's first barrier is skipped: its
+    // lateness is how far apart the rank threads started, not how slow
+    // any rank runs.
+    if (generation > 0) {
+        double lateness = 0.0;
+        if (barrier_waiting_ == 0) {
+            barrier_first_arrival_ns_ = obs::NowNs();
+        } else {
+            lateness = static_cast<double>(obs::NowNs() -
+                                           barrier_first_arrival_ns_) /
+                       1e9;
+        }
         Detector().RecordArrival(rank, lateness);
     }
     if (++barrier_waiting_ == size_) {

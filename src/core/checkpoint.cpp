@@ -15,8 +15,7 @@ namespace neo::core {
 
 namespace {
 
-constexpr uint32_t kDeltaMagic = 0x44454C54;     // 'DELT'
-constexpr uint32_t kBaselineMagic = 0x4E434B50;  // 'NCKP'
+constexpr uint32_t kBaselineMagic = 0x4E434B50;     // 'NCKP'
 constexpr uint32_t kDeltaStreamMagic = 0x4E434B44;  // 'NCKD'
 
 /** StateFloatsPerRow for a given optimizer config and shard width. */
@@ -83,93 +82,6 @@ DeltaFileName(size_t seq)
 }
 
 }  // namespace
-
-DeltaCheckpointer::DeltaCheckpointer(ops::EmbeddingTable* table)
-    : table_(table), reference_(*table)
-{
-    NEO_REQUIRE(table_ != nullptr, "null table");
-}
-
-std::vector<uint8_t>
-DeltaCheckpointer::WriteBaseline()
-{
-    BinaryWriter writer;
-    table_->Save(writer);
-    reference_ = *table_;
-    delta_seq_ = 0;
-    return writer.buffer();
-}
-
-std::vector<uint8_t>
-DeltaCheckpointer::WriteDelta()
-{
-    const int64_t rows = table_->rows();
-    const int64_t dim = table_->dim();
-    NEO_REQUIRE(reference_.rows() == rows && reference_.dim() == dim,
-                "reference/table shape drift");
-
-    std::vector<int64_t> changed;
-    std::vector<float> payload;
-    std::vector<float> current(static_cast<size_t>(dim));
-    std::vector<float> previous(static_cast<size_t>(dim));
-    for (int64_t r = 0; r < rows; r++) {
-        table_->ReadRow(r, current.data());
-        reference_.ReadRow(r, previous.data());
-        if (std::memcmp(current.data(), previous.data(),
-                        static_cast<size_t>(dim) * sizeof(float)) != 0) {
-            changed.push_back(r);
-            payload.insert(payload.end(), current.begin(), current.end());
-            reference_.WriteRow(r, current.data());
-        }
-    }
-    last_delta_rows_ = changed.size();
-
-    BinaryWriter writer;
-    writer.Write<uint32_t>(kDeltaMagic);
-    writer.Write<int64_t>(rows);
-    writer.Write<int64_t>(dim);
-    writer.Write<uint64_t>(delta_seq_++);
-    writer.WriteVector(changed);
-    writer.WriteVector(payload);
-    return writer.buffer();
-}
-
-ops::EmbeddingTable
-DeltaCheckpointer::Restore(const std::vector<uint8_t>& baseline,
-                           const std::vector<std::vector<uint8_t>>& deltas)
-{
-    BinaryReader base_reader(baseline);
-    ops::EmbeddingTable table = ops::EmbeddingTable::Load(base_reader);
-    uint64_t expected_seq = 0;
-    for (const auto& delta : deltas) {
-        BinaryReader reader(delta);
-        NEO_REQUIRE(reader.Read<uint32_t>() == kDeltaMagic,
-                    "bad delta magic");
-        const int64_t rows = reader.Read<int64_t>();
-        const int64_t dim = reader.Read<int64_t>();
-        NEO_REQUIRE(rows == table.rows() && dim == table.dim(),
-                    "delta shape mismatch: delta is ", rows, "x", dim,
-                    ", table is ", table.rows(), "x", table.dim());
-        const uint64_t seq = reader.Read<uint64_t>();
-        NEO_REQUIRE(seq == expected_seq,
-                    "delta out of order: expected sequence ", expected_seq,
-                    ", got ", seq);
-        expected_seq++;
-        const auto changed = reader.ReadVector<int64_t>();
-        const auto payload = reader.ReadVector<float>();
-        NEO_REQUIRE(payload.size() ==
-                        changed.size() * static_cast<size_t>(dim),
-                    "delta payload size mismatch");
-        for (size_t i = 0; i < changed.size(); i++) {
-            NEO_REQUIRE(changed[i] >= 0 && changed[i] < rows,
-                        "delta row id ", changed[i], " out of range [0, ",
-                        rows, ")");
-            table.WriteRow(changed[i],
-                           payload.data() + i * static_cast<size_t>(dim));
-        }
-    }
-    return table;
-}
 
 // ---------------------------------------------------------------------------
 // CheckpointStore
@@ -669,9 +581,10 @@ class TargetWriter
         const int64_t col_end = reader.Read<int64_t>();
         const uint32_t sfpr = reader.Read<uint32_t>();
         NEO_REQUIRE(col_begin == 0 && col_end == cfg.dim,
-                    "column-wise shards are not supported by elastic "
-                    "restore (table ", table, " columns [", col_begin, ", ",
-                    col_end, ") of ", cfg.dim, ")");
+                    "checkpoint entry is not full width: table ", table,
+                    " columns [", col_begin, ", ", col_end, ") of ", cfg.dim,
+                    " (column-wise writer shards are not supported by "
+                    "elastic restore)");
         NEO_REQUIRE(row_begin >= 0 && row_begin <= row_end &&
                         row_end <= cfg.rows,
                     "checkpoint row range out of bounds");
@@ -808,6 +721,8 @@ ReadCheckpoint(const CheckpointStore& store, const DlrmConfig& config,
         if (reader.Read<uint8_t>() != 0) {
             contents.dense_blob = reader.ReadVector<uint8_t>();
         }
+        NEO_REQUIRE(reader.AtEnd(), "trailing bytes after rank ", wr,
+                    "'s baseline");
 
         // Delta chain, with epoch continuity.
         for (const CheckpointStore::StreamBytes& delta : streams.deltas) {
@@ -828,6 +743,8 @@ ReadCheckpoint(const CheckpointStore& store, const DlrmConfig& config,
             if (dr.Read<uint8_t>() != 0) {
                 contents.dense_blob = dr.ReadVector<uint8_t>();
             }
+            NEO_REQUIRE(dr.AtEnd(), "trailing bytes after rank ", wr,
+                        "'s delta at epoch ", delta_epoch);
         }
         NEO_REQUIRE(!final_epoch.has_value() || *final_epoch == epoch,
                     "checkpoint streams end at different epochs (rank ", wr,

@@ -26,51 +26,6 @@ namespace neo::core {
 
 class DistributedDlrm;
 
-/** Differential checkpointer for one embedding table. */
-class DeltaCheckpointer
-{
-  public:
-    /**
-     * @param table The live table (not owned; must outlive this).
-     */
-    explicit DeltaCheckpointer(ops::EmbeddingTable* table);
-
-    /**
-     * Write a FULL baseline checkpoint and reset the delta reference.
-     * @return Serialized bytes.
-     */
-    std::vector<uint8_t> WriteBaseline();
-
-    /**
-     * Write a delta: only rows that changed since the last Write*() call.
-     * @return Serialized bytes (row ids + row payloads).
-     */
-    std::vector<uint8_t> WriteDelta();
-
-    /** Rows the last WriteDelta() found modified. */
-    uint64_t last_delta_rows() const { return last_delta_rows_; }
-
-    /**
-     * Restore a table from a baseline plus an ordered list of deltas.
-     * Truncated, corrupt, mis-shaped, or out-of-order inputs are rejected
-     * with std::runtime_error — restore never trusts checkpoint bytes.
-     *
-     * @param baseline Bytes from WriteBaseline().
-     * @param deltas Bytes from successive WriteDelta() calls, in order.
-     */
-    static ops::EmbeddingTable Restore(
-        const std::vector<uint8_t>& baseline,
-        const std::vector<std::vector<uint8_t>>& deltas);
-
-  private:
-    ops::EmbeddingTable* table_;
-    /** Copy of the table as of the last checkpoint (the delta reference). */
-    ops::EmbeddingTable reference_;
-    uint64_t last_delta_rows_ = 0;
-    /** Sequence number stamped into the next delta (reset by baseline). */
-    uint64_t delta_seq_ = 0;
-};
-
 /**
  * Checkpoint destination shared by all ranks of a job: one baseline plus
  * an ordered delta chain per rank. Stands in for the distributed blob
@@ -187,11 +142,11 @@ struct CheckpointContents {
  * the model. Non-collective.
  *
  * Restore never trusts checkpoint bytes: it throws std::runtime_error on
- * bad magics or rank tags, truncated or oversized fields, a delta chain
- * whose epochs are not consecutive, streams that end at different
- * epochs, entries whose shape, optimizer layout or row range does not
- * fit `config`, column-wise writer shards, a missing dense state, and a
- * target row that no baseline covers.
+ * bad magics or rank tags, truncated or oversized fields, bytes after a
+ * stream's end, a delta chain whose epochs are not consecutive, streams
+ * that end at different epochs, entries whose shape, optimizer layout or
+ * row range does not fit `config`, column-wise writer shards, a missing
+ * dense state, and a target row that no baseline covers.
  */
 CheckpointContents ReadCheckpoint(const CheckpointStore& store,
                                   const DlrmConfig& config,
@@ -199,13 +154,13 @@ CheckpointContents ReadCheckpoint(const CheckpointStore& store,
 
 /**
  * Multi-table, per-rank differential checkpointer for a DistributedDlrm
- * partition (the generalization of DeltaCheckpointer the elastic-recovery
- * path needs). Each rank writes its own baseline/delta streams covering
- * its embedding shards *and* their sparse-optimizer row state; rank 0
- * additionally covers the replicated DP tables and the dense MLP + dense
- * optimizer state (identical on all ranks). Every Write*() agrees a
- * cross-rank consistency epoch via the collective layer, so a restore can
- * verify all streams describe the same step.
+ * partition: the one writer of trainer state. Each rank writes its own
+ * baseline/delta streams covering its embedding shards *and* their
+ * sparse-optimizer row state; rank 0 additionally covers the replicated
+ * DP tables and the dense MLP + dense optimizer state (identical on all
+ * ranks). Every Write*() agrees a cross-rank consistency epoch via the
+ * collective layer, so a restore can verify all streams describe the
+ * same step.
  *
  * Deltas carry the rows the trainer marked dirty (DirtyRows) since the
  * last write, and each write clears the marks it consumed — so a trainer

@@ -333,15 +333,10 @@ DistributedDlrm::RunStepWithRecovery(const std::function<double()>& attempt)
     StepResult result;
     while (true) {
         result.attempts++;
-        std::optional<StepTransaction> txn;
-        if (options_.transactional_retry) {
-            txn.emplace(*this);
-        }
+        StepTransaction txn(*this);
         try {
             result.loss = attempt();
-            if (txn) {
-                txn->Commit();
-            }
+            txn.Commit();
             result.ok = true;
             return result;
         } catch (const comm::RankFailure& failure) {
@@ -349,9 +344,7 @@ DistributedDlrm::RunStepWithRecovery(const std::function<double()>& attempt)
             // retry (exactly-once semantics: the retry must start from
             // the exact pre-step state) or give up (elastic recovery
             // wants clean pre-step state to hand to the survivors).
-            if (txn) {
-                txn->Rollback();
-            }
+            txn.Rollback();
             obs::MetricsRegistry::Get()
                 .GetCounter("neo.core.step_retries")
                 .Add();
@@ -524,67 +517,6 @@ DistributedDlrm::UpdateDpTables(const PreparedInput& prepared,
         }
         dp.optimizer.ApplyGrouped(dp.replica);
     }
-}
-
-void
-DistributedDlrm::SaveLocal(BinaryWriter& writer) const
-{
-    writer.Write<uint32_t>(0x4E454F43u);  // 'NEOC'
-    writer.Write<int32_t>(rank_);
-    writer.Write<uint64_t>(shards_.size());
-    for (const auto& shard : shards_) {
-        writer.Write<int32_t>(shard.meta.table);
-        writer.Write<int64_t>(shard.meta.row_begin);
-        writer.Write<int64_t>(shard.meta.col_begin);
-        shard.table.Save(writer);
-    }
-    writer.Write<uint64_t>(dp_tables_.size());
-    for (const auto& dp : dp_tables_) {
-        writer.Write<int32_t>(dp.table);
-        dp.replica.Save(writer);
-    }
-    bottom_->Save(writer);
-    top_->Save(writer);
-}
-
-void
-DistributedDlrm::LoadLocal(BinaryReader& reader)
-{
-    NEO_REQUIRE(reader.Read<uint32_t>() == 0x4E454F43u,
-                "bad distributed checkpoint magic");
-    NEO_REQUIRE(reader.Read<int32_t>() == rank_,
-                "checkpoint written by a different rank");
-    const uint64_t num_shards = reader.Read<uint64_t>();
-    NEO_REQUIRE(num_shards == shards_.size(),
-                "checkpoint shard count mismatch");
-    for (auto& shard : shards_) {
-        NEO_REQUIRE(reader.Read<int32_t>() == shard.meta.table,
-                    "checkpoint shard table mismatch");
-        NEO_REQUIRE(reader.Read<int64_t>() == shard.meta.row_begin &&
-                        reader.Read<int64_t>() == shard.meta.col_begin,
-                    "checkpoint shard geometry mismatch");
-        ops::EmbeddingTable loaded = ops::EmbeddingTable::Load(reader);
-        NEO_REQUIRE(loaded.rows() == shard.table.rows() &&
-                        loaded.dim() == shard.table.dim(),
-                    "checkpoint shard shape mismatch");
-        shard.table = std::move(loaded);
-        shard.dirty.MarkAll();
-    }
-    const uint64_t num_dp = reader.Read<uint64_t>();
-    NEO_REQUIRE(num_dp == dp_tables_.size(),
-                "checkpoint DP table count mismatch");
-    for (auto& dp : dp_tables_) {
-        NEO_REQUIRE(reader.Read<int32_t>() == dp.table,
-                    "checkpoint DP table mismatch");
-        ops::EmbeddingTable loaded = ops::EmbeddingTable::Load(reader);
-        NEO_REQUIRE(loaded.rows() == dp.replica.rows() &&
-                        loaded.dim() == dp.replica.dim(),
-                    "checkpoint DP table shape mismatch");
-        dp.replica = std::move(loaded);
-        dp.dirty.MarkAll();
-    }
-    bottom_->Load(reader);
-    top_->Load(reader);
 }
 
 void

@@ -59,14 +59,6 @@ struct DistributedOptions {
     std::chrono::milliseconds max_retry_backoff{2000};
     /** Deadline for the all-rank recovery rendezvous after a failure. */
     std::chrono::milliseconds recover_timeout{2000};
-    /**
-     * Snapshot-and-rollback retries (exactly-once): each attempt runs
-     * under a StepTransaction whose undo log restores partially-applied
-     * sparse/dense updates before the retry, so a retried step is
-     * bit-identical to a fault-free one. False = legacy at-least-once
-     * retries that may double-apply updates.
-     */
-    bool transactional_retry = true;
 
     // ---- telemetry ----
 
@@ -187,13 +179,12 @@ class DistributedDlrm
      * structured per-rank report instead of unwinding. When the failure
      * is transient and `max_step_retries` allows, every rank backs off
      * exponentially, rendezvouses via ProcessGroup::Recover, and retries
-     * the step from PrepareInput. With `transactional_retry` (default),
-     * each attempt runs under a StepTransaction that rolls partial
-     * sparse/dense mutations back before the retry — exactly-once
-     * semantics, losses bit-identical to a fault-free run. Without it,
-     * retries are at-least-once and may double-apply updates. On a
-     * non-retryable failure the rollback still runs, leaving clean
-     * pre-step state for elastic recovery (see core/elastic.h).
+     * the step from PrepareInput. Each attempt runs under a
+     * StepTransaction that rolls partial sparse/dense mutations back
+     * before the retry — exactly-once semantics, losses bit-identical to
+     * a fault-free run. On a non-retryable failure the rollback still
+     * runs, leaving clean pre-step state for elastic recovery (see
+     * core/elastic.h).
      */
     StepResult TrainStepWithRecovery(const data::Batch& local_batch);
 
@@ -240,18 +231,6 @@ class DistributedDlrm
               dirty(replica.rows()) {}
     };
 
-    /**
-     * Serialize this worker's partition (its shards, DP replicas and MLP
-     * replica). Each rank writes its own stream; together the streams
-     * form a sharded checkpoint (Sec. 4.4).
-     */
-    void SaveLocal(BinaryWriter& writer) const;
-
-    /** Restore a partition written by SaveLocal on the same rank of an
-     *  identically-configured trainer. Marks every row dirty, so the
-     *  next delta checkpoint carries the whole loaded partition. */
-    void LoadLocal(BinaryReader& reader);
-
     size_t NumLocalShards() const { return shards_.size(); }
     const LocalShard& local_shard(size_t i) const { return shards_[i]; }
     size_t NumDpTables() const { return dp_tables_.size(); }
@@ -274,8 +253,8 @@ class DistributedDlrm
                                   const data::Batch& local_batch);
 
     /** Shared retry loop of the *WithRecovery entry points: runs
-     *  `attempt` under an optional StepTransaction with rollback,
-     *  backoff, and the all-rank recovery rendezvous. */
+     *  `attempt` under a StepTransaction with rollback, backoff, and the
+     *  all-rank recovery rendezvous. */
     StepResult RunStepWithRecovery(const std::function<double()>& attempt);
 
     // -- step phases --
@@ -328,8 +307,7 @@ class DistributedDlrm
     std::vector<float> grad_buffer_;
 
     /** Active step transaction; update phases call its capture hooks
-     *  immediately before mutating state. Null outside transactional
-     *  retries. */
+     *  immediately before mutating state. Null when none is attached. */
     StepTransaction* txn_ = nullptr;
 
     /** Buffers every StepTransaction on this trainer reuses. */

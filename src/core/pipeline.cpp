@@ -23,24 +23,17 @@ double
 PipelinedTrainer::TrainPending()
 {
     NEO_TRACE_SPAN("pipeline_step", "step");
-    double loss;
-    if (trainer_.options().transactional_retry) {
-        StepResult result =
-            trainer_.TrainStepPreparedWithRecovery(*pending_);
-        if (!result.ok) {
-            // Surface the unrecoverable failure the way the raw path
-            // does — but only after the transaction rolled the partial
-            // step back, so elastic recovery sees clean pre-step state.
-            const StepFailure& last = result.failures.back();
-            throw comm::RankFailure(last.failed_rank, last.cause,
-                                    last.transient);
-        }
-        loss = result.loss;
-    } else {
-        loss = trainer_.TrainStepPrepared(*pending_);
+    StepResult result = trainer_.TrainStepPreparedWithRecovery(*pending_);
+    if (!result.ok) {
+        // Surface the unrecoverable failure as comm::RankFailure — but
+        // only after the transaction rolled the partial step back, so
+        // elastic recovery sees clean pre-step state.
+        const StepFailure& last = result.failures.back();
+        throw comm::RankFailure(last.failed_rank, last.cause,
+                                last.transient);
     }
     steps_completed_++;
-    return loss;
+    return result.loss;
 }
 
 std::optional<double>

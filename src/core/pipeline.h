@@ -29,8 +29,7 @@
  * of the batch, and the training collectives run in the same order on
  * the same communicator either way.
  *
- * When DistributedOptions::transactional_retry is set (the default),
- * pipelined steps run under the same StepTransaction rollback/retry
+ * Pipelined steps run under the same StepTransaction rollback/retry
  * machinery as TrainStepWithRecovery — a mid-step failure rolls the
  * partial sparse/dense mutations back before any retry, and an
  * unrecoverable failure surfaces as comm::RankFailure with clean

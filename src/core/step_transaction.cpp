@@ -86,12 +86,14 @@ void
 StepTransaction::Rollback()
 {
     NEO_TRACE_SPAN("step_rollback", "recovery");
-    auto restore_rows = [](ops::EmbeddingTable& table,
-                           ops::SparseOptimizer& optimizer,
-                           const UndoLog::Rows& snapshot) {
+    uint64_t restored = 0;
+    auto restore_rows = [&restored](ops::EmbeddingTable& table,
+                                    ops::SparseOptimizer& optimizer,
+                                    const UndoLog::Rows& snapshot) {
         if (!snapshot.captured) {
             return;
         }
+        restored += snapshot.rows.size();
         const size_t d = static_cast<size_t>(table.dim());
         const size_t sfpr = optimizer.StateFloatsPerRow();
         for (size_t i = 0; i < snapshot.rows.size(); i++) {
@@ -117,7 +119,9 @@ StepTransaction::Rollback()
         trainer_.top_->Load(reader);
         trainer_.dense_opt_.Load(reader);
     }
-    obs::MetricsRegistry::Get().GetCounter("neo.core.rollbacks").Add();
+    auto& metrics = obs::MetricsRegistry::Get();
+    metrics.GetCounter("neo.core.rollbacks").Add();
+    metrics.GetCounter("neo.core.rollback_rows").Add(restored);
     Commit();  // the undo log is spent either way
 }
 

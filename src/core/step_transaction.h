@@ -72,7 +72,8 @@ class StepTransaction
      * state for each captured shard/DP table, and the dense blob if the
      * dense apply had been reached. Safe after partial capture (phases
      * the attempt never reached are simply not restored — they were
-     * never mutated).
+     * never mutated). Adds one to `neo.core.rollbacks` and the restored
+     * sparse rows to `neo.core.rollback_rows`.
      */
     void Rollback();
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -20,6 +21,8 @@
 #include "core/elastic.h"
 #include "core/pipeline.h"
 #include "data/dataset.h"
+#include "obs/metrics.h"
+#include "serve/snapshot.h"
 #include "sharding/planner.h"
 
 namespace neo {
@@ -469,94 +472,6 @@ TEST(Distributed, Fp16TablesTrainDistributed)
     EXPECT_LT(Matrix::MaxAbsDiff(dist, ref), 2e-2);
 }
 
-TEST(Distributed, LocalCheckpointRoundTrip)
-{
-    DlrmConfig model = core::MakeSmallDlrmConfig(4, 150, 16);
-    const int workers = 2;
-    const sharding::ShardingPlan plan =
-        MakePlan(model, workers, true, true, true);
-    ASSERT_TRUE(plan.feasible);
-
-    const size_t local_batch = 16;
-    std::vector<std::vector<uint8_t>> checkpoints(workers);
-    Matrix before(local_batch * workers, 1);
-    Matrix after(local_batch * workers, 1);
-    comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
-        DistributedDlrm trainer(model, plan, pg);
-        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
-        for (int s = 0; s < 3; s++) {
-            data::Batch global = dataset.NextBatch(local_batch * workers);
-            data::Batch local;
-            local.dense = Matrix(local_batch, global.dense.cols());
-            for (size_t b = 0; b < local_batch; b++) {
-                for (size_t c = 0; c < global.dense.cols(); c++) {
-                    local.dense(b, c) =
-                        global.dense(rank * local_batch + b, c);
-                }
-            }
-            local.sparse = global.sparse.SliceBatch(
-                rank * local_batch, (rank + 1) * local_batch);
-            local.labels.assign(
-                global.labels.begin() + rank * local_batch,
-                global.labels.begin() + (rank + 1) * local_batch);
-            trainer.TrainStep(local);
-        }
-        BinaryWriter writer;
-        trainer.SaveLocal(writer);
-        checkpoints[rank] = writer.buffer();
-
-        data::Batch eval = dataset.NextBatch(local_batch * workers);
-        data::Batch local;
-        local.dense = Matrix(local_batch, eval.dense.cols());
-        for (size_t b = 0; b < local_batch; b++) {
-            for (size_t c = 0; c < eval.dense.cols(); c++) {
-                local.dense(b, c) = eval.dense(rank * local_batch + b, c);
-            }
-        }
-        local.sparse = eval.sparse.SliceBatch(rank * local_batch,
-                                              (rank + 1) * local_batch);
-        local.labels.assign(eval.labels.begin() + rank * local_batch,
-                            eval.labels.begin() +
-                                (rank + 1) * local_batch);
-        Matrix logits;
-        trainer.Predict(local, logits);
-        for (size_t b = 0; b < local_batch; b++) {
-            before(rank * local_batch + b, 0) = logits(b, 0);
-        }
-    });
-
-    // Fresh trainers restore the checkpoints and must predict identically.
-    comm::ThreadedWorld::Run(workers, [&](int rank, comm::ProcessGroup& pg) {
-        DistributedDlrm trainer(model, plan, pg);
-        BinaryReader reader(checkpoints[rank]);
-        trainer.LoadLocal(reader);
-
-        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
-        for (int s = 0; s < 3; s++) {
-            dataset.NextBatch(local_batch * workers);  // skip trained data
-        }
-        data::Batch eval = dataset.NextBatch(local_batch * workers);
-        data::Batch local;
-        local.dense = Matrix(local_batch, eval.dense.cols());
-        for (size_t b = 0; b < local_batch; b++) {
-            for (size_t c = 0; c < eval.dense.cols(); c++) {
-                local.dense(b, c) = eval.dense(rank * local_batch + b, c);
-            }
-        }
-        local.sparse = eval.sparse.SliceBatch(rank * local_batch,
-                                              (rank + 1) * local_batch);
-        local.labels.assign(eval.labels.begin() + rank * local_batch,
-                            eval.labels.begin() +
-                                (rank + 1) * local_batch);
-        Matrix logits;
-        trainer.Predict(local, logits);
-        for (size_t b = 0; b < local_batch; b++) {
-            after(rank * local_batch + b, 0) = logits(b, 0);
-        }
-    });
-    EXPECT_TRUE(Matrix::Identical(before, after));
-}
-
 TEST(Distributed, TraceRecordsCollectiveSequence)
 {
     DlrmConfig model = core::MakeSmallDlrmConfig(3, 100, 16);
@@ -637,18 +552,34 @@ TEST(DistributedFailure, CheckpointFromOtherRankRejected)
     DlrmConfig model = core::MakeSmallDlrmConfig(2, 100, 16);
     const sharding::ShardingPlan plan =
         ForcedPlan(model, 2, sharding::Scheme::kTableWise);
-    std::vector<std::vector<uint8_t>> checkpoints(2);
-    comm::ThreadedWorld::Run(2, [&](int rank, comm::ProcessGroup& pg) {
+    core::CheckpointStore store;
+    comm::ThreadedWorld::Run(2, [&](int, comm::ProcessGroup& pg) {
         DistributedDlrm trainer(model, plan, pg);
-        BinaryWriter writer;
-        trainer.SaveLocal(writer);
-        checkpoints[rank] = writer.buffer();
+        core::DistributedCheckpointer(trainer, store).WriteBaseline();
     });
-    comm::ThreadedWorld::Run(2, [&](int rank, comm::ProcessGroup& pg) {
+    // Deliberately file each rank's stream under the OTHER rank.
+    core::CheckpointStore crossed;
+    for (const int rank : {0, 1}) {
+        crossed.PutBaseline(rank, store.Baseline(1 - rank));
+    }
+    const auto expect_rejected = [](const char* reader, auto&& read) {
+        try {
+            read();
+            ADD_FAILURE() << reader << " accepted the crossed streams";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("stream rank mismatch"),
+                      std::string::npos)
+                << reader << " threw " << e.what();
+        }
+    };
+    comm::ThreadedWorld::Run(2, [&](int, comm::ProcessGroup& pg) {
         DistributedDlrm trainer(model, plan, pg);
-        // Deliberately cross-load the OTHER rank's stream.
-        BinaryReader reader(checkpoints[1 - rank]);
-        EXPECT_THROW(trainer.LoadLocal(reader), std::runtime_error);
+        expect_rejected("RestoreInto", [&] {
+            core::DistributedCheckpointer::RestoreInto(crossed, trainer);
+        });
+    });
+    expect_rejected("SnapshotFromStore", [&] {
+        serve::SnapshotFromStore(crossed, model, plan, 1);
     });
 }
 
@@ -990,50 +921,6 @@ TEST(Distributed, RollbackMakesMidStepRetryBitIdentical)
     options.retry_backoff = milliseconds(1);
     options.recover_timeout = milliseconds(5000);
 
-    auto run_faulted = [&](bool transactional,
-                           std::vector<std::vector<StepResult>>& results,
-                           Matrix& logits_out) {
-        DistributedOptions opt = options;
-        opt.transactional_retry = transactional;
-        comm::FaultInjector injector;
-        comm::FaultSpec kill;
-        kill.rank = 2;
-        kill.match_op = true;
-        kill.op = comm::CollectiveOp::kAllReduce;
-        kill.call_index = 2 * kill_step + 1;
-        kill.kind = comm::FaultKind::kKill;
-        kill.transient = true;
-        injector.Arm(kill);
-        comm::ThreadedWorld::Options world_options;
-        world_options.injector = &injector;
-        world_options.barrier_timeout = milliseconds(20000);
-
-        results.assign(workers, std::vector<StepResult>(steps));
-        logits_out = Matrix(global_batch, 1);
-        comm::ThreadedWorld::Run(
-            workers, world_options, [&](int rank, comm::ProcessGroup& pg) {
-                DistributedDlrm trainer(model, plan, pg, opt);
-                data::SyntheticCtrDataset dataset(
-                    MakeDatasetConfig(model, kDataSeed));
-                for (int s = 0; s < steps; s++) {
-                    const data::Batch local = SliceGlobal(
-                        dataset.NextBatch(global_batch), rank, local_batch);
-                    results[rank][s] = trainer.TrainStepWithRecovery(local);
-                    if (!results[rank][s].ok) {
-                        return;
-                    }
-                }
-                const data::Batch local = SliceGlobal(
-                    dataset.NextBatch(global_batch), rank, local_batch);
-                Matrix logits;
-                trainer.Predict(local, logits);
-                for (size_t b = 0; b < local_batch; b++) {
-                    logits_out(rank * local_batch + b, 0) = logits(b, 0);
-                }
-            });
-        EXPECT_EQ(injector.Fired().size(), 1u);
-    };
-
     // Fault-free run: per-step losses and final predictions.
     std::vector<std::vector<double>> clean(workers,
                                            std::vector<double>(steps));
@@ -1057,37 +944,92 @@ TEST(Distributed, RollbackMakesMidStepRetryBitIdentical)
             }
         });
 
-    // Transactional: every loss bitwise-equal to the fault-free run.
-    std::vector<std::vector<StepResult>> txn_results;
-    Matrix txn_logits;
-    run_faulted(true, txn_results, txn_logits);
+    // The rows the killed step's sparse apply had already stepped when
+    // the kill landed: the unique rows of its global batch, per table
+    // (table-wise, so each table's rows live on one rank).
+    uint64_t stepped_rows = 0;
+    {
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
+        data::Batch batch;
+        for (int s = 0; s <= kill_step; s++) {
+            batch = dataset.NextBatch(global_batch);
+        }
+        for (size_t t = 0; t < model.tables.size(); t++) {
+            const auto indices = batch.sparse.IndicesForTable(t);
+            stepped_rows +=
+                std::set<int64_t>(indices.begin(), indices.end()).size();
+        }
+    }
+
+    comm::FaultInjector injector;
+    comm::FaultSpec kill;
+    kill.rank = 2;
+    kill.match_op = true;
+    kill.op = comm::CollectiveOp::kAllReduce;
+    kill.call_index = 2 * kill_step + 1;
+    kill.kind = comm::FaultKind::kKill;
+    kill.transient = true;
+    injector.Arm(kill);
+    comm::ThreadedWorld::Options world_options;
+    world_options.injector = &injector;
+    world_options.barrier_timeout = milliseconds(20000);
+
+    auto& metrics = obs::MetricsRegistry::Get();
+    obs::Counter& rollbacks = metrics.GetCounter("neo.core.rollbacks");
+    obs::Counter& rollback_rows = metrics.GetCounter("neo.core.rollback_rows");
+    const uint64_t rollbacks_before = rollbacks.value();
+    const uint64_t rollback_rows_before = rollback_rows.value();
+
+    std::vector<std::vector<StepResult>> results(
+        workers, std::vector<StepResult>(steps));
+    Matrix logits_out(global_batch, 1);
+    comm::ThreadedWorld::Run(
+        workers, world_options, [&](int rank, comm::ProcessGroup& pg) {
+            DistributedDlrm trainer(model, plan, pg, options);
+            data::SyntheticCtrDataset dataset(
+                MakeDatasetConfig(model, kDataSeed));
+            for (int s = 0; s < steps; s++) {
+                const data::Batch local = SliceGlobal(
+                    dataset.NextBatch(global_batch), rank, local_batch);
+                results[rank][s] = trainer.TrainStepWithRecovery(local);
+                if (!results[rank][s].ok) {
+                    return;
+                }
+            }
+            const data::Batch local = SliceGlobal(
+                dataset.NextBatch(global_batch), rank, local_batch);
+            Matrix logits;
+            trainer.Predict(local, logits);
+            for (size_t b = 0; b < local_batch; b++) {
+                logits_out(rank * local_batch + b, 0) = logits(b, 0);
+            }
+        });
+    EXPECT_EQ(injector.Fired().size(), 1u);
+
+    // Every loss bitwise-equal to the fault-free run.
     for (int r = 0; r < workers; r++) {
         SCOPED_TRACE("rank " + std::to_string(r));
         for (int s = 0; s < steps; s++) {
             SCOPED_TRACE("step " + std::to_string(s));
-            EXPECT_TRUE(txn_results[r][s].ok);
-            EXPECT_EQ(txn_results[r][s].attempts, s == kill_step ? 2 : 1);
+            EXPECT_TRUE(results[r][s].ok);
+            EXPECT_EQ(results[r][s].attempts, s == kill_step ? 2 : 1);
             if (s == kill_step) {
-                ASSERT_EQ(txn_results[r][s].failures.size(), 1u);
-                EXPECT_EQ(txn_results[r][s].failures[0].failed_rank, 2);
-                EXPECT_TRUE(txn_results[r][s].failures[0].transient);
+                ASSERT_EQ(results[r][s].failures.size(), 1u);
+                EXPECT_EQ(results[r][s].failures[0].failed_rank, 2);
+                EXPECT_TRUE(results[r][s].failures[0].transient);
             }
-            EXPECT_EQ(txn_results[r][s].loss, clean[r][s]);
+            EXPECT_EQ(results[r][s].loss, clean[r][s]);
         }
     }
-    EXPECT_TRUE(Matrix::Identical(txn_logits, clean_logits));
+    EXPECT_TRUE(Matrix::Identical(logits_out, clean_logits));
 
-    // Control: the legacy at-least-once path re-applies the already-
-    // applied sparse update, so the retried step's loss diverges. This
-    // pins that the kill point really lands after a partial mutation —
-    // i.e. that the transactional run above proved something.
-    std::vector<std::vector<StepResult>> legacy_results;
-    Matrix legacy_logits;
-    run_faulted(false, legacy_results, legacy_logits);
-    for (int r = 0; r < workers; r++) {
-        EXPECT_TRUE(legacy_results[r][kill_step].ok);
-        EXPECT_NE(legacy_results[r][kill_step].loss, clean[r][kill_step]);
-    }
+    // The kill really landed after a partial mutation, so the run above
+    // proved something: every rank rolled back once, and together they
+    // restored exactly the rows the step's sparse apply had stepped.
+    EXPECT_EQ(rollbacks.value() - rollbacks_before,
+              static_cast<uint64_t>(workers));
+    EXPECT_GT(stepped_rows, 0u);
+    EXPECT_EQ(rollback_rows.value() - rollback_rows_before, stepped_rows);
 }
 
 /**
@@ -1272,7 +1214,6 @@ TEST(Distributed, PipelinedMidStepKillRollbackIsBitIdentical)
         ForcedPlan(model, workers, sharding::Scheme::kTableWise);
 
     DistributedOptions options;
-    options.transactional_retry = true;
     options.max_step_retries = 2;
     options.retry_backoff = milliseconds(1);
     options.recover_timeout = milliseconds(5000);

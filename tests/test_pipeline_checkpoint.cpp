@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <mutex>
 #include <set>
@@ -259,91 +261,6 @@ TEST(PipelineOverlap, OverlapSavedNonzeroAndBucketsCoverStep)
         }
     }
     EXPECT_GT(breakdown.overlap_saved, 0.0);
-}
-
-// ----------------------------------------------------------- Checkpoint
-
-TEST(DeltaCheckpoint, BaselinePlusDeltasRestoreExactly)
-{
-    Rng rng(3);
-    ops::EmbeddingTable table(200, 8);
-    table.InitUniform(rng);
-    DeltaCheckpointer checkpointer(&table);
-    const auto baseline = checkpointer.WriteBaseline();
-
-    // Mutate a few rows, snapshot, mutate more, snapshot again.
-    std::vector<std::vector<uint8_t>> deltas;
-    const float row_a[8] = {1, 2, 3, 4, 5, 6, 7, 8};
-    table.WriteRow(5, row_a);
-    table.WriteRow(100, row_a);
-    deltas.push_back(checkpointer.WriteDelta());
-    EXPECT_EQ(checkpointer.last_delta_rows(), 2u);
-
-    const float row_b[8] = {-1, -2, -3, -4, -5, -6, -7, -8};
-    table.WriteRow(5, row_b);   // re-touched
-    table.WriteRow(42, row_b);  // new
-    deltas.push_back(checkpointer.WriteDelta());
-    EXPECT_EQ(checkpointer.last_delta_rows(), 2u);
-
-    const ops::EmbeddingTable restored =
-        DeltaCheckpointer::Restore(baseline, deltas);
-    EXPECT_TRUE(ops::EmbeddingTable::Identical(table, restored));
-}
-
-TEST(DeltaCheckpoint, NoChangesMeansEmptyDelta)
-{
-    Rng rng(5);
-    ops::EmbeddingTable table(50, 4);
-    table.InitUniform(rng);
-    DeltaCheckpointer checkpointer(&table);
-    checkpointer.WriteBaseline();
-    const auto delta = checkpointer.WriteDelta();
-    EXPECT_EQ(checkpointer.last_delta_rows(), 0u);
-    const auto restored =
-        DeltaCheckpointer::Restore(checkpointer.WriteBaseline(), {delta});
-    EXPECT_TRUE(ops::EmbeddingTable::Identical(table, restored));
-}
-
-TEST(DeltaCheckpoint, DeltaMuchSmallerThanBaselineUnderSparseUpdates)
-{
-    // The Check-N-Run observation: one training interval touches only a
-    // small, Zipf-skewed subset of rows.
-    Rng rng(7);
-    ops::EmbeddingTable table(20000, 16);
-    table.InitUniform(rng);
-    DeltaCheckpointer checkpointer(&table);
-    const auto baseline = checkpointer.WriteBaseline();
-
-    ZipfSampler sampler(20000, 1.1);
-    std::vector<float> row(16);
-    for (int i = 0; i < 500; i++) {
-        const int64_t r = static_cast<int64_t>(sampler.Sample(rng));
-        table.ReadRow(r, row.data());
-        for (auto& x : row) {
-            x += 0.01f;
-        }
-        table.WriteRow(r, row.data());
-    }
-    const auto delta = checkpointer.WriteDelta();
-    EXPECT_LT(checkpointer.last_delta_rows(), 500u);  // duplicates merge
-    EXPECT_LT(delta.size(), baseline.size() / 10);
-
-    const auto restored =
-        DeltaCheckpointer::Restore(baseline, {delta});
-    EXPECT_TRUE(ops::EmbeddingTable::Identical(table, restored));
-}
-
-TEST(DeltaCheckpoint, RestoreRejectsCorruptDelta)
-{
-    Rng rng(9);
-    ops::EmbeddingTable table(10, 4);
-    table.InitUniform(rng);
-    DeltaCheckpointer checkpointer(&table);
-    const auto baseline = checkpointer.WriteBaseline();
-    auto delta = checkpointer.WriteDelta();
-    delta[0] ^= 0xFF;  // corrupt the magic
-    EXPECT_THROW(DeltaCheckpointer::Restore(baseline, {delta}),
-                 std::runtime_error);
 }
 
 // ----------------------------------------------------- Async checkpoint
@@ -826,6 +743,85 @@ TEST(DirtyRowCheckpoint, DeltaCarriesEveryChangedRowAndOnlyUpdatedRows)
     }
 }
 
+TEST(DeltaCheckpoint, DeltaMuchSmallerThanBaselineUnderSparseUpdates)
+{
+    // The Check-N-Run observation: a few training steps touch only a
+    // small, Zipf-skewed subset of a table's rows, so a delta is a
+    // fraction of the baseline.
+    const DlrmConfig model = MakeSmallDlrmConfig(1, 20000, 16);
+    const sharding::ShardingPlan plan = PlanFor(model, 1);
+    CheckpointStore store;
+    comm::ThreadedWorld::Run(1, [&](int, comm::ProcessGroup& pg) {
+        DistributedDlrm trainer(model, plan, pg);
+        DistributedCheckpointer ckpt(trainer, store);
+        data::SyntheticCtrDataset dataset(
+            MakeDatasetConfig(model, kDataSeed, /*zipf_s=*/1.1));
+        ckpt.WriteBaseline();
+        size_t lookups = 0;
+        for (int s = 0; s < 4; s++) {
+            const data::Batch batch = dataset.NextBatch(64);
+            lookups += batch.sparse.TotalIndices();
+            trainer.TrainStep(batch);
+        }
+        ckpt.WriteDelta();
+        EXPECT_GT(ckpt.last_delta_rows(), 0u);
+        EXPECT_LT(ckpt.last_delta_rows(), lookups);  // repeats merge
+        const CheckpointStore::RankStreams streams = store.Streams(0);
+        ASSERT_EQ(streams.deltas.size(), 1u);
+        EXPECT_LT(streams.deltas[0]->size(), streams.baseline->size() / 10);
+
+        DistributedDlrm restored(model, plan, pg);
+        DistributedCheckpointer::RestoreInto(store, restored);
+        ExpectSameModel(trainer, restored);
+    });
+}
+
+TEST(DeltaCheckpoint, BaselinePlusDeltasRestoreExactly)
+{
+    // Each step re-touches some rows and touches new ones; the baseline
+    // plus both deltas restore the latest value of every row.
+    const DlrmConfig model = MakeSmallDlrmConfig(4, 40, 8);
+    CheckpointStore store;
+    comm::ThreadedWorld::Run(2, [&](int rank, comm::ProcessGroup& pg) {
+        DistributedDlrm trainer(model, MixedPlan(model), pg);
+        DistributedCheckpointer ckpt(trainer, store);
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
+        ckpt.WriteBaseline();
+        for (int d = 0; d < 2; d++) {
+            trainer.TrainStep(
+                Slice(dataset.NextBatch(kLocalBatch * 2), rank, kLocalBatch));
+            ckpt.WriteDelta();
+            EXPECT_GT(ckpt.last_delta_rows(), 0u);
+        }
+        EXPECT_EQ(store.Deltas(rank).size(), 2u);
+        ExpectRestoresLive(store, trainer, pg);
+    });
+}
+
+TEST(DeltaCheckpoint, NoChangesMeansEmptyDelta)
+{
+    // Rows a step dirtied before the baseline are in the baseline, so a
+    // delta right after it carries no row of any entry, and still chains.
+    const DlrmConfig model = MakeSmallDlrmConfig(4, 40, 8);
+    CheckpointStore store;
+    comm::ThreadedWorld::Run(2, [&](int rank, comm::ProcessGroup& pg) {
+        DistributedDlrm trainer(model, MixedPlan(model), pg);
+        DistributedCheckpointer ckpt(trainer, store);
+        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
+        trainer.TrainStep(
+            Slice(dataset.NextBatch(kLocalBatch * 2), rank, kLocalBatch));
+        ckpt.WriteBaseline();
+        ckpt.WriteDelta();
+        EXPECT_EQ(ckpt.last_delta_rows(), 0u);
+        const auto carried = DeltaRows(store.Deltas(rank).back());
+        EXPECT_FALSE(carried.empty());
+        for (const auto& rows : carried) {
+            EXPECT_TRUE(rows.empty());
+        }
+        ExpectRestoresLive(store, trainer, pg);
+    });
+}
+
 TEST(DirtyRowCheckpoint, RolledBackRetryThenDeltaRestoresBitwise)
 {
     using std::chrono::milliseconds;
@@ -869,32 +865,6 @@ TEST(DirtyRowCheckpoint, RolledBackRetryThenDeltaRestoresBitwise)
             ExpectRestoresLive(store, trainer, pg);
         });
     EXPECT_EQ(injector.Fired().size(), 1u);
-}
-
-TEST(DirtyRowCheckpoint, LoadLocalThenDeltaRestoresBitwise)
-{
-    const DlrmConfig model = MakeSmallDlrmConfig(4, 40, 8);
-    CheckpointStore store;
-    comm::ThreadedWorld::Run(2, [&](int rank, comm::ProcessGroup& pg) {
-        DistributedDlrm source(model, MixedPlan(model), pg);
-        data::SyntheticCtrDataset dataset(MakeDatasetConfig(model, kDataSeed));
-        for (int s = 0; s < 3; s++) {
-            source.TrainStep(
-                Slice(dataset.NextBatch(kLocalBatch * 2), rank, kLocalBatch));
-        }
-        BinaryWriter saved;
-        source.SaveLocal(saved);
-
-        // Baseline the untrained model, load the trained one over it,
-        // and checkpoint only a delta: it must carry every loaded row.
-        DistributedDlrm trainer(model, MixedPlan(model), pg);
-        DistributedCheckpointer ckpt(trainer, store);
-        ckpt.WriteBaseline();
-        BinaryReader reader(saved.Take());
-        trainer.LoadLocal(reader);
-        ckpt.WriteDelta();
-        ExpectRestoresLive(store, trainer, pg);
-    });
 }
 
 TEST(DirtyRowCheckpoint, RestoreIntoThenDeltaRestoresBitwise)
@@ -1314,6 +1284,225 @@ TEST(CheckpointReader, EveryTruncationOfEveryStreamThrows)
             }
         }
     });
+}
+
+/** Read or overwrite a `T` at byte `offset` of a stream. */
+template <typename T>
+T
+Peek(const std::vector<uint8_t>& bytes, size_t offset)
+{
+    T value;
+    std::memcpy(&value, bytes.data() + offset, sizeof(T));
+    return value;
+}
+
+template <typename T>
+void
+Poke(std::vector<uint8_t>& bytes, size_t offset, T value)
+{
+    std::memcpy(bytes.data() + offset, &value, sizeof(T));
+}
+
+// A delta stream starts with its header (magic u32, rank i32, epoch u64,
+// entry count u64), then the first entry's header (table i32, is_dp u8,
+// row_begin, row_end, col_begin, col_end i64, optimizer floats per row
+// u32), then that entry's row ids, length-prefixed.
+constexpr size_t kFirstRowBegin = 24 + 4 + 1;
+constexpr size_t kRowIdCount = 24 + 41;
+constexpr size_t kFirstRowId = kRowIdCount + 8;
+
+/** One rank's streams, as bytes a case may edit. */
+struct EditableStreams {
+    std::vector<uint8_t> baseline;
+    std::vector<std::vector<uint8_t>> deltas;
+};
+
+/** An edit of a job's streams, or of the model they are read under,
+ *  that both readers must reject. */
+struct Corruption {
+    std::string what;
+    /** Substring of the reader's message (empty: any message). */
+    std::string message;
+    std::function<void(std::map<int, EditableStreams>&)> edit;
+    /** Model the streams are read under (null: the job's). */
+    const DlrmConfig* model = nullptr;
+};
+
+/**
+ * Both readers, RestoreInto a 1-worker trainer and SnapshotFromStore,
+ * accept `job`'s streams as written, and throw std::runtime_error with
+ * each case's message once that case's edit is applied.
+ */
+void
+ExpectReadersReject(const SmallJob& job, const std::vector<Corruption>& cases)
+{
+    std::map<int, EditableStreams> original;
+    for (const int r : job.store.Ranks()) {
+        original[r] = {job.store.Baseline(r), job.store.Deltas(r)};
+    }
+    comm::ThreadedWorld::Run(1, [&](int, comm::ProcessGroup& pg) {
+        const sharding::ShardingPlan plan = SingleWorkerPlan(job.model);
+        DistributedDlrm target(job.model, plan, pg);
+        DistributedCheckpointer::RestoreInto(job.store, target);
+        serve::SnapshotFromStore(job.store, job.model, plan, 1);
+
+        for (const Corruption& c : cases) {
+            std::map<int, EditableStreams> streams = original;
+            c.edit(streams);
+            CheckpointStore store;
+            for (auto& [rank, s] : streams) {
+                store.PutBaseline(rank, std::move(s.baseline));
+                for (auto& d : s.deltas) {
+                    store.AppendDelta(rank, std::move(d));
+                }
+            }
+            const DlrmConfig& model = c.model ? *c.model : job.model;
+            const sharding::ShardingPlan reader_plan = SingleWorkerPlan(model);
+            DistributedDlrm fresh(model, reader_plan, pg);
+            auto expect_rejected = [&](const char* reader, auto&& read) {
+                try {
+                    read();
+                    ADD_FAILURE() << c.what << ": " << reader
+                                  << " accepted the streams";
+                } catch (const std::runtime_error& e) {
+                    EXPECT_NE(std::string(e.what()).find(c.message),
+                              std::string::npos)
+                        << c.what << ": " << reader << " threw " << e.what();
+                }
+            };
+            expect_rejected("RestoreInto", [&] {
+                DistributedCheckpointer::RestoreInto(store, fresh);
+            });
+            expect_rejected("SnapshotFromStore", [&] {
+                serve::SnapshotFromStore(store, model, reader_plan, 1);
+            });
+        }
+    });
+}
+
+/** One case per length short of its full size, for stream `stream`
+ *  (0: the baseline, k: delta k - 1) of every rank of `job`. */
+std::vector<Corruption>
+EveryCut(const SmallJob& job, size_t stream)
+{
+    auto pick = [stream](EditableStreams& s) -> std::vector<uint8_t>& {
+        return stream == 0 ? s.baseline : s.deltas.at(stream - 1);
+    };
+    std::vector<Corruption> cases;
+    for (const int r : job.store.Ranks()) {
+        EditableStreams s{job.store.Baseline(r), job.store.Deltas(r)};
+        const size_t full = pick(s).size();
+        for (size_t keep = 0; keep < full; keep++) {
+            cases.push_back({"rank " + std::to_string(r) + " stream " +
+                                 std::to_string(stream) + " cut to " +
+                                 std::to_string(keep) + " of " +
+                                 std::to_string(full) + " bytes",
+                             "", [=](auto& all) {
+                                 pick(all[r]).resize(keep);
+                             }});
+        }
+    }
+    return cases;
+}
+
+TEST(DeltaCheckpointRobustness, TruncatedBaselineRejected)
+{
+    // A job that stopped before its first delta: each rank's only
+    // stream is its baseline.
+    SmallJob job(/*deltas=*/0);
+    ExpectReadersReject(job, EveryCut(job, /*stream=*/0));
+}
+
+TEST(DeltaCheckpointRobustness, TruncatedDeltaRejected)
+{
+    // The cut delta follows one that reads whole.
+    SmallJob job(/*deltas=*/2);
+    ExpectReadersReject(job, EveryCut(job, /*stream=*/2));
+}
+
+TEST(DeltaCheckpointRobustness, HugeLengthPrefixRejectedNotAllocated)
+{
+    // A corrupt length prefix claiming 2^61 row ids must be rejected by
+    // the bounds check (std::runtime_error), not passed to the allocator
+    // (std::bad_alloc, or the OOM killer).
+    SmallJob job(/*deltas=*/2);
+    ASSERT_GT(Peek<uint64_t>(job.store.Deltas(1)[0], kRowIdCount), 0u);
+    ExpectReadersReject(
+        job, {{"2^61 row-id length prefix", "length prefix claims",
+               [](auto& s) {
+                   Poke<uint64_t>(s[1].deltas[0], kRowIdCount,
+                                  uint64_t{1} << 61);
+               }}});
+}
+
+TEST(DeltaCheckpointRobustness, MismatchedDimDeltaRejected)
+{
+    // Streams read under a model whose tables are twice as wide, or
+    // whose optimizer keeps another amount of state per row.
+    SmallJob job(/*deltas=*/2);
+    DlrmConfig wider = job.model;
+    for (auto& table : wider.tables) {
+        table.dim *= 2;
+    }
+    wider.bottom_mlp.back() *= 2;
+    DlrmConfig other_optimizer = job.model;
+    other_optimizer.sparse_optimizer.kind = ops::SparseOptimizerKind::kAdam;
+    ExpectReadersReject(
+        job, {{"read under wider tables", "not full width", [](auto&) {},
+               &wider},
+              {"read under another optimizer",
+               "optimizer state layout mismatch", [](auto&) {},
+               &other_optimizer}});
+}
+
+TEST(DeltaCheckpointRobustness, OutOfOrderDeltasRejected)
+{
+    // The epoch stamp catches a reordered chain instead of restoring
+    // stale rows; replaying a delta is equally out of order. (The
+    // untampered chain restores: ExpectReadersReject checks it first.)
+    SmallJob job(/*deltas=*/2);
+    ExpectReadersReject(
+        job, {{"reordered delta chain", "delta out of order",
+               [](auto& s) { std::swap(s[1].deltas[0], s[1].deltas[1]); }},
+              {"replayed delta", "delta out of order",
+               [](auto& s) { s[1].deltas.push_back(s[1].deltas[1]); }}});
+}
+
+TEST(DeltaCheckpointRobustness, RowIdOutOfRangeRejected)
+{
+    SmallJob job(/*deltas=*/2);
+    // Rank 1's first entry is its half of row-wise table 0, so the row
+    // just below it is a real row of the table that the entry does not
+    // hold.
+    const std::vector<uint8_t> delta = job.store.Deltas(1)[0];
+    ASSERT_EQ(Peek<int32_t>(delta, 24), 0);
+    const int64_t row_begin = Peek<int64_t>(delta, kFirstRowBegin);
+    ASSERT_GT(row_begin, 0);
+    ASSERT_GT(Peek<uint64_t>(delta, kRowIdCount), 0u);
+    ExpectReadersReject(
+        job, {{"delta row id outside its entry",
+               "outside its entry's row range", [=](auto& s) {
+                   Poke<int64_t>(s[1].deltas[0], kFirstRowId, row_begin - 1);
+               }}});
+}
+
+TEST(DeltaCheckpoint, RestoreRejectsCorruptDelta)
+{
+    SmallJob job(/*deltas=*/2);
+    ExpectReadersReject(job, {{"bad delta magic", "bad delta magic",
+                               [](auto& s) { s[1].deltas[0][0] ^= 0xFF; }}});
+}
+
+TEST(CheckpointReader, RejectsBadBaselineMagicAndTrailingBytes)
+{
+    SmallJob job(/*deltas=*/2);
+    ExpectReadersReject(
+        job, {{"bad baseline magic", "bad baseline magic",
+               [](auto& s) { s[1].baseline[0] ^= 0xFF; }},
+              {"trailing byte after a baseline", "trailing bytes",
+               [](auto& s) { s[1].baseline.push_back(0); }},
+              {"trailing byte after a delta", "trailing bytes",
+               [](auto& s) { s[1].deltas[1].push_back(0); }}});
 }
 
 }  // namespace

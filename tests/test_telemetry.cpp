@@ -463,6 +463,38 @@ TEST(Straggler, DetectorNamesFaultInjectorDelayedRank)
     detector.Configure(StragglerOptions());
 }
 
+TEST(Straggler, ThreadStartSkewIsNotStraggling)
+{
+    // Rank 3's thread starts 30 ms after the others and then keeps pace
+    // for five AllReduces. The world's first barrier measures how far
+    // apart the threads started, not how slow any rank runs, so it must
+    // not leave rank 3 looking like a straggler.
+    StragglerDetector detector;
+    comm::ThreadedWorld::Options options;
+    options.detector = &detector;
+    options.barrier_timeout = milliseconds(20000);
+    comm::ThreadedWorld world(4, options);
+    std::vector<std::thread> threads;
+    for (int r = 0; r < 4; r++) {
+        threads.emplace_back([&world, r] {
+            if (r == 3) {
+                std::this_thread::sleep_for(milliseconds(30));
+            }
+            auto& pg = world.GetGroup(r);
+            std::vector<float> buf(32, 1.0f);
+            for (int i = 0; i < 5; i++) {
+                pg.AllReduceSum(buf.data(), buf.size());
+            }
+        });
+    }
+    for (auto& t : threads) {
+        t.join();
+    }
+
+    const StragglerVerdict verdict = world.AnalyzeStragglers();
+    EXPECT_NE(verdict.rank, 3) << verdict.Describe();
+}
+
 // ---------------------------------------------------------------------------
 // Harvest wire format
 // ---------------------------------------------------------------------------
