@@ -5,7 +5,8 @@
  * Demonstrates the abort-propagation protocol end to end — the straggler
  * is absorbed by the barrier deadline, the kill aborts the collective on
  * every rank, and the per-step retry loop recovers the world — and prints
- * a structured per-rank failure/recovery report. The same degradation is
+ * a structured per-rank failure/recovery report; it exits 1 if an armed
+ * fault never fired or a rank did not recover. The same degradation is
  * then priced on the modeled cluster via sim::FaultModel so the
  * functional and analytical layers can be compared.
  *
@@ -281,9 +282,11 @@ main(int argc, char** argv)
                 kWorkers, kSteps,
                 static_cast<unsigned long long>(calls_per_step));
 
-    std::printf("injected faults (fired %zu of %zu armed):\n",
-                injector.Fired().size(), injector.Fired().size());
-    for (const auto& event : injector.Fired()) {
+    const std::vector<comm::FaultEvent> fired = injector.Fired();
+    const size_t unfired = injector.NumArmed();
+    std::printf("injected faults (fired %zu of %zu armed):\n", fired.size(),
+                fired.size() + unfired);
+    for (const auto& event : fired) {
         std::printf("  rank %d  call #%llu  %s%s\n", event.spec.rank,
                     static_cast<unsigned long long>(event.spec.call_index),
                     comm::FaultKindName(event.spec.kind),
@@ -321,6 +324,10 @@ main(int argc, char** argv)
     }
     table.Print();
 
+    if (unfired != 0) {
+        std::printf("\nFAIL: %zu armed fault(s) never fired\n", unfired);
+        return 1;
+    }
     if (!all_recovered) {
         std::printf("\nFAIL: at least one rank did not recover\n");
         return 1;

@@ -9,9 +9,10 @@ build instead of producing a file Perfetto silently refuses to load.
 
 It also validates the other telemetry-plane artifacts:
 
-  * merged multi-rank traces from obs::HarvestTelemetry — same schema,
-    plus `--expect-ranks N` requires slices from every rank pid 1..N
-    (pid 0 is the shared pool and does not count);
+  * merged multi-rank traces (Tracer::WriteChromeJson over a whole
+    world: every rank is a thread of one process) — same schema, plus
+    `--expect-ranks N` requires slices from every rank pid 1..N (pid 0 is
+    the shared pool and does not count);
   * post-mortem flight-recorder bundles (`--bundle`) — the versioned
     JSON obs::FlightRecorder::DumpBundle writes on failure paths.
 

@@ -67,7 +67,7 @@ class BinaryWriter
         buffer_.insert(buffer_.end(), p, p + v.size() * sizeof(T));
     }
 
-    /** Pre-size the buffer (bulk writers like the telemetry harvest). */
+    /** Pre-size the buffer (bulk writers like the checkpoint streams). */
     void Reserve(size_t bytes) { buffer_.reserve(bytes); }
 
     const std::vector<uint8_t>& buffer() const { return buffer_; }

@@ -211,6 +211,7 @@ DistributedDlrm::ExchangePooled(const std::vector<Matrix>& shard_pooled,
 double
 DistributedDlrm::TrainStepPrepared(PreparedInput& prepared)
 {
+    const int64_t t0 = obs::NowNs();
     const size_t b_local = prepared.local_batch;
     const size_t b_global = b_local * static_cast<size_t>(world_);
 
@@ -288,6 +289,20 @@ DistributedDlrm::TrainStepPrepared(PreparedInput& prepared)
         bottom_->ApplyOptimizer(dense_opt_, bottom_slots_);
         top_->ApplyOptimizer(dense_opt_, top_slots_);
     }
+
+    // TrainStep and the pipeline both run this body, so a completed step
+    // is counted here, once; a failed attempt throws before reaching it.
+    static obs::Counter& steps =
+        obs::MetricsRegistry::Get().GetCounter("neo.core.steps");
+    static obs::Histogram& step_time =
+        obs::MetricsRegistry::Get().GetHistogram("neo.core.step_seconds");
+    const double step_seconds =
+        static_cast<double>(obs::NowNs() - t0) * 1e-9;
+    steps.Add();
+    step_time.Observe(step_seconds);
+    auto& recorder = obs::FlightRecorder::Get();
+    recorder.RecordStep(rank_, steps_done_++, step_seconds, loss);
+    recorder.RecordMetricsDelta(rank_);
     return loss;
 }
 
@@ -295,19 +310,8 @@ double
 DistributedDlrm::TrainStep(const data::Batch& local_batch)
 {
     NEO_TRACE_SPAN("train_step", "step");
-    const int64_t t0 = obs::NowNs();
     PreparedInput prepared = PrepareInput(local_batch);
-    const double loss = TrainStepPrepared(prepared);
-    auto& metrics = obs::MetricsRegistry::Get();
-    metrics.GetCounter("neo.core.steps").Add();
-    const double step_seconds =
-        static_cast<double>(obs::NowNs() - t0) * 1e-9;
-    metrics.GetHistogram("neo.core.step_seconds").Observe(step_seconds);
-    obs::StragglerDetector::Get().RecordStep(rank_, step_seconds);
-    auto& recorder = obs::FlightRecorder::Get();
-    recorder.RecordStep(rank_, steps_done_++, step_seconds, loss);
-    recorder.RecordMetricsDelta(rank_);
-    return loss;
+    return TrainStepPrepared(prepared);
 }
 
 StepResult

@@ -168,7 +168,13 @@ class DistributedDlrm
      */
     PreparedInput PrepareInputOverlapped(const data::Batch& local_batch);
 
-    /** Full training step on a prepared input. Returns global mean loss. */
+    /**
+     * Full training step on a prepared input. Returns global mean loss.
+     * A completed step is counted here (neo.core.steps, its time in
+     * neo.core.step_seconds, the flight recorder's step ring), so
+     * TrainStep and the pipeline count alike; the time excludes the
+     * input distribution.
+     */
     double TrainStepPrepared(PreparedInput& prepared);
 
     /** Convenience: PrepareInput + TrainStepPrepared. */
@@ -278,7 +284,7 @@ class DistributedDlrm
     DistributedOptions options_;
     int rank_;
     int world_;
-    /** Completed TrainStep count on this rank (flight-recorder step id). */
+    /** Completed steps on this rank (flight-recorder step id). */
     uint64_t steps_done_ = 0;
 
     std::unique_ptr<ops::Mlp> bottom_;

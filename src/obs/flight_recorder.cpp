@@ -157,24 +157,27 @@ FlightRecorder::RecordMetricsDelta(int rank)
     if (!enabled()) {
         return;
     }
-    // Take the registry snapshot before this recorder's lock: the
-    // registry never calls back into the recorder, but keeping the two
-    // locks un-nested makes the no-deadlock argument trivial.
-    RegistrySnapshot snap = MetricsRegistry::Get().Export();
+    // Read the counters before this recorder's lock: the registry never
+    // calls back into the recorder, but keeping the two locks un-nested
+    // makes the no-deadlock argument trivial.
+    std::vector<std::pair<std::string, uint64_t>> counters =
+        MetricsRegistry::Get().ExportCounters();
     const int64_t now = NowNs();
 
     std::lock_guard<std::mutex> lock(mutex_);
     RankState& state = StateFor(rank);
     DeltaEntry entry;
     entry.t_ns = now;
-    for (const auto& [name, value] : snap.counters) {
-        uint64_t prev = 0;
-        for (const auto& [base_name, base_value] : state.counter_baseline) {
-            if (base_name == name) {
-                prev = base_value;
-                break;
-            }
+    // Both lists are sorted by name, so one merge pass pairs every
+    // counter with its previous value (0 for a counter new since then).
+    auto base = state.counter_baseline.cbegin();
+    const auto base_end = state.counter_baseline.cend();
+    for (const auto& [name, value] : counters) {
+        while (base != base_end && base->first < name) {
+            ++base;
         }
+        const uint64_t prev =
+            base != base_end && base->first == name ? base->second : 0;
         // A counter below its baseline means Reset() ran in between;
         // treat the current value as the delta from zero.
         const uint64_t delta = value >= prev ? value - prev : value;
@@ -182,7 +185,7 @@ FlightRecorder::RecordMetricsDelta(int rank)
             entry.deltas.emplace_back(name, delta);
         }
     }
-    state.counter_baseline = std::move(snap.counters);
+    state.counter_baseline = std::move(counters);
     state.deltas.Push(std::move(entry), options_.delta_ring);
 }
 

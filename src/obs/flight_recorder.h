@@ -83,11 +83,12 @@ class FlightRecorder
 
     /**
      * Capture the registry's counters and append the non-zero deltas
-     * against this rank's previous capture (one registry-level pass).
+     * against this rank's previous capture: one counters-only read of
+     * the registry and one linear merge with the previous capture.
      */
     void RecordMetricsDelta(int rank);
 
-    // ---- introspection (tests, harvest) ----
+    // ---- introspection (tests) ----
 
     struct OpEntry {
         const char* name = nullptr;

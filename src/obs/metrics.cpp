@@ -135,6 +135,18 @@ JsonNumber(double v)
     return buf;
 }
 
+/** (name, value) of every counter in `counters`, in the map's order. */
+std::vector<std::pair<std::string, uint64_t>>
+CounterValues(const std::map<std::string, std::unique_ptr<Counter>>& counters)
+{
+    std::vector<std::pair<std::string, uint64_t>> out;
+    out.reserve(counters.size());
+    for (const auto& [name, counter] : counters) {
+        out.emplace_back(name, counter->value());
+    }
+    return out;
+}
+
 /** Mangle an instrument name into a Prometheus-legal metric name. */
 std::string
 PrometheusName(const std::string& name)
@@ -179,10 +191,7 @@ MetricsRegistry::Export() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     RegistrySnapshot snap;
-    snap.counters.reserve(counters_.size());
-    for (const auto& [name, counter] : counters_) {
-        snap.counters.emplace_back(name, counter->value());
-    }
+    snap.counters = CounterValues(counters_);
     snap.gauges.reserve(gauges_.size());
     for (const auto& [name, gauge] : gauges_) {
         snap.gauges.emplace_back(name, gauge->value());
@@ -192,6 +201,13 @@ MetricsRegistry::Export() const
         snap.histograms.emplace_back(name, histogram->GetSnapshot());
     }
     return snap;
+}
+
+std::vector<std::pair<std::string, uint64_t>>
+MetricsRegistry::ExportCounters() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return CounterValues(counters_);
 }
 
 std::string

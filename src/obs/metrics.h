@@ -110,10 +110,9 @@ class Histogram
 
 /**
  * Point-in-time copy of every instrument in a registry, taken in one
- * pass under the registry lock so exporters and the telemetry harvest
- * see a mutually consistent set of values (a concurrent Reset() lands
- * entirely before or entirely after the snapshot, never interleaved).
- * Instruments are sorted by name.
+ * pass under the registry lock so exporters see a mutually consistent
+ * set of values (a concurrent Reset() lands entirely before or entirely
+ * after the snapshot, never interleaved). Instruments are sorted by name.
  */
 struct RegistrySnapshot {
     std::vector<std::pair<std::string, uint64_t>> counters;
@@ -154,12 +153,18 @@ class MetricsRegistry
 
     /**
      * Copy every instrument's current value in one registry-level pass.
-     * All exporters (JSON, CSV, Prometheus, telemetry harvest) render
-     * from this snapshot, so a concurrent Reset() can never interleave
-     * with an export: string formatting happens outside the lock on an
-     * immutable copy.
+     * All exporters (JSON, CSV, Prometheus) render from this snapshot,
+     * so a concurrent Reset() can never interleave with an export:
+     * string formatting happens outside the lock on an immutable copy.
      */
     RegistrySnapshot Export() const;
+
+    /**
+     * Export()'s counters alone, sorted by name. Its cost does not grow
+     * with how many samples the histograms hold: no sample window is
+     * copied or sorted.
+     */
+    std::vector<std::pair<std::string, uint64_t>> ExportCounters() const;
 
     /**
      * One JSON object:

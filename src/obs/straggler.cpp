@@ -34,21 +34,9 @@ StragglerDetector::Configure(const StragglerOptions& options)
     std::lock_guard<std::mutex> lock(mutex_);
     options_ = options;
     arrival_ewma_.clear();
-    step_ewma_.clear();
 }
 
 namespace {
-
-void
-UpdateEwma(std::map<int, double>& ewma, int rank, double value, double alpha)
-{
-    auto it = ewma.find(rank);
-    if (it == ewma.end()) {
-        ewma.emplace(rank, value);
-    } else {
-        it->second += alpha * (value - it->second);
-    }
-}
 
 /**
  * Envelope follower: instant attack, slow (EWMA) release. A straggler's
@@ -86,27 +74,12 @@ StragglerDetector::RecordArrival(int rank, double lateness_seconds)
                    options_.release_alpha);
 }
 
-void
-StragglerDetector::RecordStep(int rank, double seconds)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    UpdateEwma(step_ewma_, rank, seconds, options_.ewma_alpha);
-}
-
 double
 StragglerDetector::ArrivalEwma(int rank) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = arrival_ewma_.find(rank);
     return it == arrival_ewma_.end() ? 0.0 : it->second;
-}
-
-double
-StragglerDetector::StepEwma(int rank) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = step_ewma_.find(rank);
-    return it == step_ewma_.end() ? 0.0 : it->second;
 }
 
 StragglerVerdict
@@ -214,7 +187,6 @@ StragglerDetector::Clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     arrival_ewma_.clear();
-    step_ewma_.clear();
 }
 
 }  // namespace neo::obs

@@ -15,11 +15,13 @@
  *    see StragglerOptions::release_alpha). The straggler is the argmax
  *    when it clears a noise floor and a skew ratio over the median.
  *
- *  - **Harvested breakdown skew** (post-hoc, cross-rank): from a
- *    HarvestTelemetry pass, each rank's non-communication time
- *    (step_seconds − ExposedComm()) measures real work; barrier waits of
- *    the fast ranks land in comm buckets. The rank doing the most
- *    non-comm work while peers wait is the straggler.
+ *  - **Breakdown skew** (post-hoc, cross-rank): every rank is a thread
+ *    of this process, so the one tracer holds every rank's spans, and
+ *    StepBreakdown::FromSpans(Tracer::Get().Collect(), r) is rank r's
+ *    breakdown. Each rank's non-communication time (step_seconds −
+ *    ExposedComm()) measures real work; barrier waits of the fast ranks
+ *    land in comm buckets. The rank doing the most non-comm work while
+ *    peers wait is the straggler.
  *
  * Verdicts publish `neo.obs.straggler_rank` (−1 = none) and
  * `neo.obs.straggler_skew` gauges, and Describe() feeds the barrier-
@@ -38,8 +40,6 @@ namespace neo::obs {
 
 /** Detection thresholds; Configure() resets accumulated state. */
 struct StragglerOptions {
-    /** EWMA smoothing factor for step time. */
-    double ewma_alpha = 0.25;
     /**
      * Release rate of the arrival-lateness envelope (instant attack,
      * EWMA release): a late arrival sets the envelope, each on-time
@@ -90,14 +90,8 @@ class StragglerDetector
      *  first arrival. Called from inside the comm backend's barrier. */
     void RecordArrival(int rank, double lateness_seconds);
 
-    /** One completed step on `rank` (global sanity signal under BSP). */
-    void RecordStep(int rank, double seconds);
-
     /** Arrival-lateness EWMA for `rank` (0 if never recorded). */
     double ArrivalEwma(int rank) const;
-
-    /** Step-time EWMA for `rank` (0 if never recorded). */
-    double StepEwma(int rank) const;
 
     /**
      * Judge the arrival-lateness EWMAs and publish the
@@ -105,8 +99,8 @@ class StragglerDetector
      */
     StragglerVerdict Analyze();
 
-    /** Analyze harvested per-rank breakdowns (non-comm-time skew) and
-     *  publish the same gauges. Index in `per_rank` is the rank id. */
+    /** Analyze per-rank breakdowns (non-comm-time skew) and publish the
+     *  same gauges. Index in `per_rank` is the rank id. */
     StragglerVerdict AnalyzeBreakdowns(
         const std::vector<StepBreakdown>& per_rank);
 
@@ -133,7 +127,6 @@ class StragglerDetector
     mutable std::mutex mutex_;
     StragglerOptions options_;
     std::map<int, double> arrival_ewma_;
-    std::map<int, double> step_ewma_;
 };
 
 }  // namespace neo::obs

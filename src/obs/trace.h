@@ -175,6 +175,10 @@ class ScopedSpan
             return;
         }
         active_ = true;
+        // A thread's first span allocates its buffer; do it before the
+        // clock starts so no span, this one or an enclosing one, is
+        // charged for the allocation.
+        tracer.BufferForThisThread();
         name_ = name;
         cat_ = cat;
         depth_ = detail::EnterSpan();

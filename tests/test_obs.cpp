@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the observability layer: span tracer semantics (enable gate,
- * nesting, buffer overflow, Chrome JSON export, concurrent collection),
- * the metrics registry, and StepBreakdown attribution — both on synthetic
- * span sets with known answers and on a real 2-rank training step,
- * including the tracing-does-not-change-numerics determinism contract.
+ * nesting, buffer overflow, Chrome JSON export of a whole multi-rank
+ * world, concurrent collection), the metrics registry, and StepBreakdown
+ * attribution — both on synthetic span sets with known answers and on a
+ * real 2-rank training step, including the tracing-does-not-change-
+ * numerics determinism contract.
  */
 #include <gtest/gtest.h>
 
@@ -144,6 +145,45 @@ TEST(Trace, ChromeJsonIsWellFormed)
     // Quotes in span names must be escaped, not emitted raw.
     EXPECT_NE(json.find("alpha \\\"quoted\\\""), std::string::npos);
     EXPECT_EQ(json.find("alpha \"quoted\""), std::string::npos);
+}
+
+TEST(Trace, ChromeJsonCoversEveryRankOfAWorld)
+{
+    // Every rank is a thread of this process, so the one tracer holds the
+    // whole world's timeline: one process per rank (pid = rank + 1), in
+    // the schema trace_to_perfetto.py --check --expect-ranks validates.
+    TraceGuard guard;
+    constexpr int kWorld = 4;
+    constexpr int kSteps = 3;
+    comm::ThreadedWorld::Run(kWorld, [](int rank, comm::ProcessGroup& pg) {
+        std::vector<float> buf(16, static_cast<float>(rank));
+        for (int step = 0; step < kSteps; step++) {
+            NEO_TRACE_SPAN("train_step", "step");
+            pg.AllReduceSum(buf.data(), buf.size());
+        }
+    });
+
+    std::vector<int> steps_by_rank(kWorld, 0);
+    for (const Span& span : Tracer::Get().Collect()) {
+        if (std::string(span.name) == "train_step") {
+            ASSERT_GE(span.rank, 0);
+            ASSERT_LT(span.rank, kWorld);
+            steps_by_rank[static_cast<size_t>(span.rank)]++;
+        }
+    }
+    const std::string json = Tracer::Get().ToChromeJson();
+    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"train_step\""), std::string::npos);
+    for (int r = 0; r < kWorld; r++) {
+        EXPECT_EQ(steps_by_rank[static_cast<size_t>(r)], kSteps)
+            << "rank " << r;
+        EXPECT_NE(json.find("{\"ph\":\"M\",\"pid\":" + std::to_string(r + 1) +
+                            ",\"tid\":0,\"name\":\"process_name\","
+                            "\"args\":{\"name\":\"rank " +
+                            std::to_string(r) + "\"}}"),
+                  std::string::npos)
+            << "rank " << r;
+    }
 }
 
 TEST(Trace, ConcurrentRecordAndCollect)

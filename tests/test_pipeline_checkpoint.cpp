@@ -25,6 +25,7 @@
 #include "core/dlrm_config.h"
 #include "core/pipeline.h"
 #include "data/dataset.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/step_breakdown.h"
 #include "obs/trace.h"
@@ -261,6 +262,41 @@ TEST(PipelineOverlap, OverlapSavedNonzeroAndBucketsCoverStep)
         }
     }
     EXPECT_GT(breakdown.overlap_saved, 0.0);
+}
+
+TEST(PipelineOverlap, CountsEachCompletedStepOnce)
+{
+    // The pipeline trains through TrainStepPrepared, not TrainStep; its
+    // steps must reach the step counter, the step-time histogram and
+    // each rank's flight-recorder step ring exactly like unpipelined ones.
+    const DlrmConfig model = MakeSmallDlrmConfig(4, 150, 16);
+    const int workers = 2;
+    const int steps = 6;
+    const sharding::ShardingPlan plan = PlanFor(model, workers);
+    obs::FlightRecorder& recorder = obs::FlightRecorder::Get();
+    recorder.Configure(obs::RecorderOptions());
+    obs::Counter& step_count =
+        obs::MetricsRegistry::Get().GetCounter("neo.core.steps");
+    obs::Histogram& step_time =
+        obs::MetricsRegistry::Get().GetHistogram("neo.core.step_seconds");
+    const uint64_t steps_before = step_count.value();
+    const uint64_t times_before = step_time.GetSnapshot().count;
+
+    RunOverlapped(model, plan, workers, 16, steps);
+
+    const uint64_t expected = static_cast<uint64_t>(workers * steps);
+    EXPECT_EQ(step_count.value() - steps_before, expected);
+    EXPECT_EQ(step_time.GetSnapshot().count - times_before, expected);
+    for (int rank = 0; rank < workers; rank++) {
+        const auto recorded = recorder.RecentSteps(rank);
+        ASSERT_EQ(recorded.size(), static_cast<size_t>(steps))
+            << "rank " << rank;
+        for (size_t i = 0; i < recorded.size(); i++) {
+            EXPECT_EQ(recorded[i].step, i) << "rank " << rank;
+            EXPECT_GT(recorded[i].seconds, 0.0) << "rank " << rank;
+        }
+    }
+    recorder.Configure(obs::RecorderOptions());
 }
 
 // ----------------------------------------------------- Async checkpoint

@@ -2,11 +2,10 @@
  * @file
  * Tests for the fleet telemetry plane: flight-recorder ring semantics,
  * post-mortem bundles (including the FaultInjector-killed-rank contract)
- * and the recorder's modeled <1% share of a training step,
- * straggler detection from both barrier-arrival lateness and harvested
- * breakdown skew, the harvest wire format, cross-rank harvest equality
- * (root's view matches each rank's locally computed StepBreakdown), live
- * exposition, and MetricsRegistry export/Reset atomicity under threads.
+ * and the recorder's modeled <1% share of a training step, straggler
+ * detection from both barrier-arrival lateness and the per-rank breakdown
+ * skew of a live run's spans, live exposition, and MetricsRegistry
+ * export/Reset atomicity under threads.
  *
  * TelemetryArtifacts.MergedTimelineBundleAndStragglerGauge doubles as the
  * CI artifact producer: run under NEO_TELEMETRY_DIR it leaves a merged
@@ -39,7 +38,6 @@
 #include "obs/metrics.h"
 #include "obs/step_breakdown.h"
 #include "obs/straggler.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "scoped_temp_dir.h"
 #include "sharding/planner.h"
@@ -315,6 +313,15 @@ TEST(FlightRecorder, ModeledCostUnderOnePercentOfAStep)
         const auto t1 = std::chrono::steady_clock::now();
         return std::chrono::duration<double>(t1 - t0).count() / iters;
     };
+    const double step_seconds = best_seconds / kSteps;
+    // A long run fills the step-time histogram's sample window; the
+    // delta must cost the same then as on a fresh registry.
+    Histogram& step_time =
+        MetricsRegistry::Get().GetHistogram("neo.core.step_seconds");
+    for (int i = 0; i < (1 << 14); i++) {
+        step_time.Observe(step_seconds);
+    }
+
     recorder.Configure(RecorderOptions());
     const double op_cost =
         cost_of(200000, [&](int i) { recorder.RecordOp(0, "test_op", i); });
@@ -324,7 +331,6 @@ TEST(FlightRecorder, ModeledCostUnderOnePercentOfAStep)
     const double delta_cost =
         cost_of(2000, [&](int) { recorder.RecordMetricsDelta(0); });
 
-    const double step_seconds = best_seconds / kSteps;
     const double modeled = ops_per_step * op_cost + step_cost + delta_cost;
     EXPECT_LT(modeled / step_seconds, 0.01)
         << ops_per_step << " ops/step x " << op_cost * 1e9 << " ns + step "
@@ -496,164 +502,64 @@ TEST(Straggler, ThreadStartSkewIsNotStraggling)
 }
 
 // ---------------------------------------------------------------------------
-// Harvest wire format
+// Breakdown skew from live spans
 // ---------------------------------------------------------------------------
 
-RankTelemetry
-SampleTelemetry()
-{
-    RankTelemetry t;
-    t.rank = 3;
-    t.clock_ns = 123456789;
-    t.metrics.counters = {{"neo.a", 7}, {"neo.b", 42}};
-    t.metrics.gauges = {{"neo.g", 1.5}};
-    Histogram::Snapshot h;
-    h.count = 10;
-    h.sum = 5.0;
-    h.mean = 0.5;
-    h.min = 0.1;
-    h.max = 0.9;
-    h.p50 = 0.5;
-    h.p95 = 0.85;
-    h.p99 = 0.89;
-    h.p999 = 0.899;
-    h.samples_dropped = 2;
-    h.approximate = true;
-    t.metrics.histograms = {{"neo.h", h}};
-    t.breakdown.step_seconds = 0.125;
-    t.breakdown.steps = 4;
-    t.breakdown.categories.mlp_fwd = 0.05;
-    t.breakdown.categories.alltoall = 0.075;
-    t.breakdown.overlap_saved = 0.01;
-    t.spans.push_back(HarvestedSpan{"train_step", "step", 100, 900, 3, 1, 0});
-    t.spans.push_back(HarvestedSpan{"fwd", "mlp_fwd", 150, 200, 3, 1, 1});
-    return t;
-}
-
-TEST(TelemetryWire, RoundTripPreservesEverything)
-{
-    const RankTelemetry t = SampleTelemetry();
-    const RankTelemetry back =
-        DeserializeRankTelemetry(SerializeRankTelemetry(t));
-
-    EXPECT_EQ(back.rank, t.rank);
-    EXPECT_EQ(back.clock_ns, t.clock_ns);
-    ASSERT_EQ(back.metrics.counters.size(), 2u);
-    EXPECT_EQ(back.metrics.CounterValue("neo.b"), 42u);
-    EXPECT_DOUBLE_EQ(back.metrics.GaugeValue("neo.g"), 1.5);
-    ASSERT_EQ(back.metrics.histograms.size(), 1u);
-    const auto& h = back.metrics.histograms[0];
-    EXPECT_EQ(h.first, "neo.h");
-    EXPECT_EQ(h.second.count, 10u);
-    EXPECT_DOUBLE_EQ(h.second.p999, 0.899);
-    EXPECT_EQ(h.second.samples_dropped, 2u);
-    EXPECT_TRUE(h.second.approximate);
-    EXPECT_DOUBLE_EQ(back.breakdown.step_seconds, 0.125);
-    EXPECT_EQ(back.breakdown.steps, 4);
-    EXPECT_DOUBLE_EQ(back.breakdown.categories.alltoall, 0.075);
-    EXPECT_DOUBLE_EQ(back.breakdown.overlap_saved, 0.01);
-    ASSERT_EQ(back.spans.size(), 2u);
-    EXPECT_EQ(back.spans[0].name, "train_step");
-    EXPECT_EQ(back.spans[1].cat, "mlp_fwd");
-    EXPECT_EQ(back.spans[1].depth, 1);
-    EXPECT_EQ(back.spans[0].rank, 3);
-}
-
-TEST(TelemetryWire, RejectsCorruptMagicAndTruncation)
-{
-    std::vector<uint8_t> bytes = SerializeRankTelemetry(SampleTelemetry());
-    std::vector<uint8_t> corrupt = bytes;
-    corrupt[0] ^= 0xff;
-    EXPECT_THROW(DeserializeRankTelemetry(corrupt), std::runtime_error);
-
-    std::vector<uint8_t> truncated(bytes.begin(),
-                                   bytes.begin() +
-                                       static_cast<ptrdiff_t>(bytes.size() / 2));
-    EXPECT_THROW(DeserializeRankTelemetry(truncated), std::runtime_error);
-}
-
-// ---------------------------------------------------------------------------
-// Cross-rank harvest
-// ---------------------------------------------------------------------------
-
+/** Spin on the steady clock for `d`: CPU-bound work, unlike a sleep. */
 void
-BusySleep(milliseconds d)
+BusyWait(milliseconds d)
 {
-    std::this_thread::sleep_for(d);
+    const auto until = std::chrono::steady_clock::now() + d;
+    while (std::chrono::steady_clock::now() < until) {
+    }
 }
 
-TEST(TelemetryHarvest, HarvestMatchesLocalBreakdowns)
+TEST(Straggler, LiveBreakdownSkewFlagsTheBusyRank)
 {
+    // Rank 2 computes ~30 ms per step in dense forward while its peers
+    // wait for it inside the AllReduce: every rank's step takes the same
+    // wall clock, and only where the time went names the slow rank. Each
+    // rank's breakdown comes from the one tracer all rank threads share.
     TraceGuard trace;
-    const int world = 4;
-    std::vector<StepBreakdown> local(world);
-    FleetTelemetry fleet;
-
-    comm::ThreadedWorld::Run(world, [&](int rank, comm::ProcessGroup& pg) {
+    auto& detector = StragglerDetector::Get();
+    detector.Configure(StragglerOptions());
+    constexpr int kWorld = 4;
+    constexpr int kHog = 2;
+    constexpr int kSteps = 3;
+    comm::ThreadedWorld::Run(kWorld, [&](int rank, comm::ProcessGroup& pg) {
         std::vector<float> buf(16, static_cast<float>(rank));
-        for (int step = 0; step < 3; step++) {
+        for (int step = 0; step < kSteps; step++) {
             NEO_TRACE_SPAN("train_step", "step");
             {
                 NEO_TRACE_SPAN("dense_fwd", "mlp_fwd");
-                BusySleep(milliseconds(2));
+                if (rank == kHog) {
+                    BusyWait(milliseconds(30));
+                }
             }
             {
                 NEO_TRACE_SPAN("grad_allreduce", "allreduce");
                 pg.AllReduceSum(buf.data(), buf.size());
             }
         }
-        // What this rank would report about itself, computed before the
-        // harvest: the harvest must agree exactly (binary serialization
-        // round-trips doubles bit-for-bit, and the harvest's own
-        // collectives are not nested inside any train_step span).
-        local[rank] =
-            StepBreakdown::FromSpans(Tracer::Get().Collect(), rank);
-
-        FleetTelemetry view = HarvestTelemetry(pg);
-        if (pg.Rank() == 0) {
-            fleet = std::move(view);
-        } else {
-            EXPECT_TRUE(view.empty());
-        }
     });
 
-    ASSERT_EQ(fleet.ranks.size(), static_cast<size_t>(world));
-    for (int r = 0; r < world; r++) {
-        const RankTelemetry& t = fleet.ranks[static_cast<size_t>(r)];
-        EXPECT_EQ(t.rank, r);
-        // Harvested breakdown is bitwise identical to the rank's own.
-        EXPECT_DOUBLE_EQ(t.breakdown.step_seconds, local[r].step_seconds);
-        EXPECT_EQ(t.breakdown.steps, local[r].steps);
-        EXPECT_DOUBLE_EQ(t.breakdown.categories.mlp_fwd,
-                         local[r].categories.mlp_fwd);
-        EXPECT_DOUBLE_EQ(t.breakdown.categories.allreduce,
-                         local[r].categories.allreduce);
-        EXPECT_DOUBLE_EQ(t.breakdown.categories.Total(),
-                         local[r].categories.Total());
-        // Exclusive-time buckets must account for the whole step.
-        EXPECT_NEAR(t.breakdown.categories.Total(),
-                    t.breakdown.step_seconds, 1e-9);
-        EXPECT_EQ(t.breakdown.steps, 3);
-        EXPECT_FALSE(t.spans.empty());
-        // Threaded ranks share one clock, so offsets are bounded by one
-        // barrier exit (the field exists for multi-process backends).
-        if (r == 0) {
-            EXPECT_EQ(t.clock_offset_ns, 0);
-        } else {
-            EXPECT_LT(std::abs(t.clock_offset_ns), int64_t{1000000000});
-        }
+    const std::vector<Span> spans = Tracer::Get().Collect();
+    std::vector<StepBreakdown> per_rank;
+    for (int r = 0; r < kWorld; r++) {
+        per_rank.push_back(StepBreakdown::FromSpans(spans, r));
+        ASSERT_EQ(per_rank.back().steps, kSteps) << "rank " << r;
     }
+    const StragglerVerdict verdict = detector.AnalyzeBreakdowns(per_rank);
+    EXPECT_TRUE(verdict.flagged)
+        << "max " << verdict.max_seconds << " s, median "
+        << verdict.median_seconds << " s";
+    EXPECT_EQ(verdict.rank, kHog);
+    EXPECT_GE(verdict.max_seconds, 0.025);
+    EXPECT_DOUBLE_EQ(
+        MetricsRegistry::Get().Export().GaugeValue("neo.obs.straggler_rank"),
+        static_cast<double>(kHog));
 
-    // The merged timeline covers every rank (pid = rank + 1) and keeps
-    // the Chrome schema the single-rank exporter uses.
-    const std::string merged = fleet.MergedChromeJson();
-    EXPECT_NE(merged.find("\"traceEvents\""), std::string::npos);
-    for (int r = 0; r < world; r++) {
-        const std::string pid = "\"pid\":" + std::to_string(r + 1);
-        EXPECT_NE(merged.find(pid), std::string::npos) << "rank " << r;
-    }
-    EXPECT_NE(merged.find("process_name"), std::string::npos);
-    EXPECT_NE(merged.find("train_step"), std::string::npos);
+    detector.Configure(StragglerOptions());
 }
 
 // ---------------------------------------------------------------------------
@@ -787,7 +693,7 @@ TEST(TelemetryArtifacts, MergedTimelineBundleAndStragglerGauge)
     kill.rank = 3;
     kill.match_op = true;
     kill.op = comm::CollectiveOp::kAllReduce;
-    kill.call_index = 3;  // after the harvest: the 4th AllReduce
+    kill.call_index = 3;  // after the timeline: the 4th AllReduce
     kill.kind = comm::FaultKind::kKill;
     kill.transient = true;
     injector.Arm(kill);
@@ -795,7 +701,7 @@ TEST(TelemetryArtifacts, MergedTimelineBundleAndStragglerGauge)
     comm::ThreadedWorld::Options options;
     options.injector = &injector;
     options.barrier_timeout = milliseconds(20000);
-    FleetTelemetry fleet;
+    const fs::path merged_path = dir / "merged_trace.json";
     EXPECT_THROW(
         comm::ThreadedWorld::Run(
             4, options,
@@ -805,27 +711,35 @@ TEST(TelemetryArtifacts, MergedTimelineBundleAndStragglerGauge)
                     NEO_TRACE_SPAN("train_step", "step");
                     {
                         NEO_TRACE_SPAN("dense_fwd", "mlp_fwd");
-                        BusySleep(milliseconds(2));
+                        std::this_thread::sleep_for(milliseconds(2));
                     }
                     {
                         NEO_TRACE_SPAN("grad_allreduce", "allreduce");
                         pg.AllReduceSum(buf.data(), buf.size());
                     }
                 }
-                FleetTelemetry view = HarvestTelemetry(pg);
-                if (pg.Rank() == 0) {
-                    fleet = std::move(view);
-                    EXPECT_TRUE(fleet.WriteMergedChromeJson(
-                        (dir / "merged_trace.json").string()));
+                // Every rank has closed its three steps once the barrier
+                // releases; the tracer all rank threads share then holds
+                // the whole world's timeline.
+                pg.Barrier();
+                if (rank == 0) {
+                    EXPECT_TRUE(
+                        Tracer::Get().WriteChromeJson(merged_path.string()));
                 }
                 // One more step: rank 3 dies at the kill site.
                 pg.AllReduceSum(buf.data(), buf.size());
             }),
         comm::RankFailure);
 
-    // The merged multi-rank timeline was written before the failure.
-    ASSERT_TRUE(fs::exists(dir / "merged_trace.json"));
-    ASSERT_EQ(fleet.ranks.size(), 4u);
+    // The merged multi-rank timeline was written before the failure, one
+    // process per rank.
+    ASSERT_TRUE(fs::exists(merged_path));
+    const std::string merged = ReadFile(merged_path);
+    for (int r = 0; r < 4; r++) {
+        ASSERT_NE(merged.find("\"name\":\"rank " + std::to_string(r) + "\""),
+                  std::string::npos)
+            << "rank " << r;
+    }
 
     // The arrival-lateness detector names the FaultInjector-delayed rank
     // and publishes it as a gauge.
